@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "canonical_rows"]
 
 
 @dataclass
@@ -34,7 +34,7 @@ class CSRGraph:
     indices:
         ``int64[num_arcs]`` — out-neighbor vertex ids.
     weights:
-        ``float64[num_arcs]`` — arc weights (> 0).
+        ``float64[num_arcs]`` — arc weights (finite, > 0).
     directed:
         Whether the graph is semantically directed.  Undirected graphs
         still materialize both arc directions in ``indices``.
@@ -68,8 +68,10 @@ class CSRGraph:
             self.indices.min() < 0 or self.indices.max() >= self.num_vertices
         ):
             raise ValueError("neighbor index out of range")
-        if np.any(self.weights <= 0):
-            raise ValueError("arc weights must be positive")
+        if len(self.weights) and not (
+            self.weights.min() > 0 and self.weights.max() < np.inf
+        ):
+            raise ValueError("arc weights must be finite and positive")
         if self.t_indptr is None:
             if self.directed:
                 self.t_indptr, self.t_indices, self.t_weights = _transpose(
@@ -222,6 +224,26 @@ class CSRGraph:
             f"CSRGraph(name={self.name!r}, n={self.num_vertices}, "
             f"arcs={self.num_arcs}, {kind})"
         )
+
+
+def canonical_rows(indptr: np.ndarray, indices: np.ndarray) -> bool:
+    """Whether every row is strictly increasing by destination.
+
+    That is the *canonical* CSR: rows sorted, no duplicate arcs — what
+    :mod:`repro.graph.build`, :mod:`repro.graph.stream` and
+    :meth:`repro.service.delta.Delta.apply` produce, and the storage
+    order :func:`repro.service.cache.graph_digest` hashes.  ``indptr``
+    may be a run of rows ``indptr[r0:r1 + 1]`` of a larger CSR, with
+    ``indices`` the matching ``indices[indptr[r0]:indptr[r1]]``, so a
+    caller can check a big graph one chunk of rows at a time.
+    """
+    if len(indices) < 2:
+        return True
+    rising = indices[1:] > indices[:-1]
+    starts = indptr[1:-1] - indptr[0]
+    # a row's first arc is not compared with the previous row's last
+    rising[starts[(starts > 0) & (starts < len(indices))] - 1] = True
+    return bool(rising.all())
 
 
 def _transpose(

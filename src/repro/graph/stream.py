@@ -60,7 +60,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.core import arena
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, canonical_rows
 from repro.util.validation import check_positive, check_probability
 
 __all__ = [
@@ -429,14 +429,13 @@ def streamed_digest(
     """:func:`repro.service.cache.graph_digest`, byte-identical, in
     O(chunk) memory.
 
-    The eager digest hashes the arc multiset lexsorted by ``(src,
-    dst)`` with duplicates coalesced — for a *canonical* CSR (rows
-    sorted by destination, no duplicate arcs: everything built by
+    The eager digest hashes the arc multiset sorted by ``(src, dst)``
+    with duplicates coalesced — for a *canonical* CSR
+    (:func:`~repro.graph.csr.canonical_rows`: everything built by
     :mod:`repro.graph.build` or this module) that order is exactly
     storage order, so the three arrays can be streamed straight through
-    SHA-256 without materializing ``edge_array()``.  Raises
-    ``ValueError`` on a non-canonical CSR rather than hash the wrong
-    byte stream.
+    SHA-256 one chunk of rows at a time.  Raises ``ValueError`` on a
+    non-canonical CSR rather than hash the wrong byte stream.
     """
     indptr = graph.indptr
     n = graph.num_vertices
@@ -454,17 +453,14 @@ def streamed_digest(
             r0 = r1
 
     for r0, r1, lo, hi in row_chunks():  # src, expanded per row
+        if not canonical_rows(indptr[r0:r1 + 1], graph.indices[lo:hi]):
+            raise ValueError(
+                "streamed_digest needs a canonical CSR (rows sorted "
+                "by destination, duplicates coalesced); use "
+                "repro.service.cache.graph_digest instead"
+            )
         counts = np.diff(indptr[r0:r1 + 1])
         rows = np.repeat(np.arange(r0, r1, dtype=np.int64), counts)
-        d = graph.indices[lo:hi]
-        if len(d) > 1:
-            same_row = rows[1:] == rows[:-1]
-            if np.any(d[1:][same_row] <= d[:-1][same_row]):
-                raise ValueError(
-                    "streamed_digest needs a canonical CSR (rows sorted "
-                    "by destination, duplicates coalesced); use "
-                    "repro.service.cache.graph_digest instead"
-                )
         h.update(np.ascontiguousarray(rows, dtype=np.int64).tobytes())
     for _r0, _r1, lo, hi in row_chunks():  # dst
         h.update(

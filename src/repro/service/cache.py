@@ -11,12 +11,12 @@ hits, misses, and capacity evictions are counted and published as
 
 Keys are **content-addressed**, never identity-addressed:
 
-* :func:`graph_digest` hashes the *canonical arc multiset* — arcs are
-  lexsorted by ``(src, dst)`` and duplicate arcs are coalesced by
-  summing weights before hashing, so two ``CSRGraph`` objects describe
-  the same network iff they digest equally, regardless of edge input
-  order or duplicate-edge spelling (the same canonical form
-  ``repro.graph.build`` applies when constructing a CSR);
+* :func:`graph_digest` hashes the *canonical arc multiset* — arcs
+  sorted by ``(src, dst)`` with duplicate arcs coalesced by summing
+  weights, so two ``CSRGraph`` objects describe the same network iff
+  they digest equally, regardless of edge input order or duplicate-edge
+  spelling (the same canonical form ``repro.graph.build`` applies when
+  constructing a CSR, so a built graph is hashed as stored);
 * :func:`cache_key` appends the canonicalized result-determining
   parameters (engine, workers, seed, tau, level/pass caps, chunk,
   accumulator).  Serving parameters (priority, deadline, fault plans)
@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.build import coalesce_arcs
+from repro.graph.csr import CSRGraph, canonical_rows
 from repro.obs import metrics as obs_metrics
 from repro.service.jobs import JobSpec
 
@@ -49,27 +50,27 @@ __all__ = ["graph_digest", "cache_key", "CacheEntry", "ResultCache"]
 def graph_digest(graph: CSRGraph) -> str:
     """SHA-256 over the canonical arc multiset of ``graph``.
 
-    Canonical form: ``(src, dst, weight)`` triples lexsorted by
+    Canonical form: ``(src, dst, weight)`` triples sorted by
     ``(src, dst)`` with duplicate ``(src, dst)`` arcs coalesced by
     summing their weights, prefixed by the vertex count and the
     directedness flag.  Isolated vertices matter (they change
     ``num_vertices``); arc input order and duplicate spelling do not.
+
+    A canonical CSR (:func:`~repro.graph.csr.canonical_rows` — every
+    graph :mod:`repro.graph.build`, :mod:`repro.graph.stream` and
+    :meth:`~repro.service.delta.Delta.apply` build) already stores its
+    arcs in that form, so it is hashed straight from its arrays; any
+    other CSR is coalesced first (:func:`~repro.graph.build.coalesce_arcs`).
     """
+    n = graph.num_vertices
     src, dst, w = graph.edge_array()
-    order = np.lexsort((dst, src))
-    src, dst, w = src[order], dst[order], w[order]
-    if len(src):
-        first = np.empty(len(src), dtype=bool)
-        first[0] = True
-        first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-        group = np.cumsum(first) - 1
-        w = np.bincount(group, weights=w)
-        src, dst = src[first], dst[first]
+    if not canonical_rows(graph.indptr, graph.indices):
+        src, dst, w = coalesce_arcs(src, dst, w, n)
     h = hashlib.sha256()
-    h.update(f"csr/v1:{graph.num_vertices}:{int(graph.directed)}:".encode())
-    h.update(np.ascontiguousarray(src, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(dst, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(w, dtype=np.float64).tobytes())
+    h.update(f"csr/v1:{n}:{int(graph.directed)}:".encode())
+    h.update(np.ascontiguousarray(src, dtype=np.int64))
+    h.update(np.ascontiguousarray(dst, dtype=np.int64))
+    h.update(np.ascontiguousarray(w, dtype=np.float64))
     return h.hexdigest()
 
 

@@ -5,6 +5,10 @@ One home for the generators that were previously copy-pasted across
 
 * :func:`edge_lists` — arbitrary small edge lists (duplicates and
   self-loops included), the adversarial graph-construction input;
+* :func:`weighted_graphs` / :func:`hand_built_csrs` — small weighted
+  ``CSRGraph``s: built ones (canonical, possibly one ULP asymmetric) and
+  ones made straight from arrays (unsorted rows, duplicate arcs,
+  asymmetric "undirected");
 * :data:`seeds` / :data:`small_seeds` — integer seeds for the seeded
   generators (full-range for cheap properties, a small range where each
   example runs a whole Infomap pipeline);
@@ -17,9 +21,14 @@ describes the input space, a test describes what must hold on it.  See
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import strategies as st
 
-__all__ = ["edge_lists", "seeds", "small_seeds", "directedness"]
+from repro.graph.build import from_edges
+from repro.graph.csr import CSRGraph
+
+__all__ = ["edge_lists", "weights", "weighted_graphs", "hand_built_csrs",
+           "seeds", "small_seeds", "directedness"]
 
 
 def edge_lists(
@@ -37,6 +46,51 @@ def edge_lists(
         ),
         min_size=min_size,
         max_size=max_size,
+    )
+
+
+#: finite positive arc weights, varied enough that sums taken in
+#: different orders round differently
+weights = st.floats(min_value=0.01, max_value=100.0, allow_nan=False,
+                    allow_infinity=False)
+
+
+@st.composite
+def weighted_graphs(draw) -> CSRGraph:
+    """``from_edges`` graphs with self-loops, non-unit weights, isolated
+    vertices and duplicate edges in both orientations.
+
+    Canonical, but an undirected one's two arcs of an edge can differ by
+    one ULP: their duplicates are summed in different orders.
+    """
+    n = draw(st.integers(1, 8))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex, weights), max_size=30))
+    if edges:
+        flips = draw(st.lists(st.sampled_from(edges), max_size=10))
+        edges += [(v, u, draw(weights)) for u, v, _ in flips]
+    return from_edges(edges, num_vertices=n + draw(st.integers(0, 2)),
+                      directed=draw(st.booleans()))
+
+
+@st.composite
+def hand_built_csrs(draw) -> CSRGraph:
+    """``CSRGraph``s made straight from arrays: unsorted rows and
+    duplicate arcs, or sorted rows; "undirected" ones are rarely
+    symmetric."""
+    n = draw(st.integers(1, 6))
+    rows = [draw(st.lists(st.tuples(st.integers(0, n - 1), weights),
+                          max_size=6)) for _ in range(n)]
+    if draw(st.booleans()):  # canonical rows
+        rows = [sorted(dict(row).items()) for row in rows]
+    return CSRGraph(
+        indptr=np.cumsum([0] + [len(row) for row in rows]),
+        indices=np.array([d for row in rows for d, _ in row],
+                         dtype=np.int64),
+        weights=np.array([w for row in rows for _, w in row],
+                         dtype=np.float64),
+        directed=draw(st.booleans()),
+        name="hand",
     )
 
 

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.build import coalesce_arcs, from_edge_array, from_edges
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, canonical_rows
 
-from tests.strategies import directedness, edge_lists
+from tests.strategies import (directedness, edge_lists, hand_built_csrs,
+                              weighted_graphs)
 
 
 def triangle():
@@ -46,6 +48,15 @@ class TestConstruction:
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError):
             from_edges([(0, 1, 0.0)], num_vertices=2)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_weights_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite and positive"):
+            from_edges([(0, 1, 1.0), (1, 2, bad)], num_vertices=3)
+        with pytest.raises(ValueError, match="finite and positive"):
+            CSRGraph(indptr=[0, 1, 1], indices=[1], weights=[bad],
+                     directed=True)
 
     def test_bad_vertex_id(self):
         with pytest.raises(ValueError):
@@ -164,3 +175,41 @@ class TestCoalesce:
         e = np.empty(0, np.int64)
         s, d, w = coalesce_arcs(e, e, np.empty(0), 5)
         assert len(s) == 0
+
+
+class TestCanonicalRows:
+    """``canonical_rows`` — the one test of "rows strictly increasing by
+    destination" that the graph digests and ``Delta.apply`` share."""
+
+    @staticmethod
+    def _row_by_row(g):
+        return all(
+            np.all(np.diff(g.indices[g.indptr[r]:g.indptr[r + 1]]) > 0)
+            for r in range(g.num_vertices)
+        )
+
+    def test_examples(self):
+        assert canonical_rows(np.array([0]), np.array([], dtype=np.int64))
+        # row 1 starts below row 0's last arc: still canonical
+        assert canonical_rows(np.array([0, 2, 2, 4]), np.array([1, 3, 0, 2]))
+        assert not canonical_rows(np.array([0, 2]), np.array([1, 1]))
+        assert not canonical_rows(np.array([0, 2]), np.array([2, 1]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=st.one_of(weighted_graphs(), hand_built_csrs()))
+    def test_matches_a_row_by_row_check(self, g):
+        assert canonical_rows(g.indptr, g.indices) == self._row_by_row(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=hand_built_csrs(), data=st.data())
+    def test_any_run_of_rows_checks_alone(self, g, data):
+        """A caller may check a big CSR one chunk of rows at a time."""
+        cuts = sorted(data.draw(st.lists(
+            st.integers(0, g.num_vertices), max_size=4)))
+        bounds = [0, *cuts, g.num_vertices]
+        chunks = [
+            canonical_rows(g.indptr[r0:r1 + 1],
+                           g.indices[g.indptr[r0]:g.indptr[r1]])
+            for r0, r1 in zip(bounds, bounds[1:])
+        ]
+        assert all(chunks) == canonical_rows(g.indptr, g.indices)

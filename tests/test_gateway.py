@@ -482,6 +482,42 @@ class TestLiveIngest:
         assert bad["status"] == "rejected" and bad["reject"] == REJECT_INVALID
         assert good["status"] == "completed" and good["session"] == "s"
 
+    def test_non_finite_weights_are_invalid_rows(self):
+        """``json.loads`` accepts NaN and Infinity (and a weight too big
+        for a float): each gets an ``invalid`` row, in a session's ops or
+        an inline graph, and the connection and session keep serving."""
+        g, _ = FAMILIES["undirected"](0)
+        bad_lines = [
+            b'{"session": "s", "id": "nan", "ops": [["add", 0, 1, NaN]]}',
+            b'{"session": "s", "id": "inf", '
+            b'"ops": [["add", 0, 1, Infinity]]}',
+            b'{"session": "s", "id": "huge", "ops": [["add", 0, 1, 1'
+            + b"0" * 400 + b']]}',
+            b'{"id": "edges", "engine": "vectorized", "workers": 1, '
+            b'"edges": {"num_vertices": 3, "arcs": [[0, 1, 1.0], '
+            b'[1, 2, NaN]]}}',
+        ]
+
+        async def _drive(gw):
+            client = await GatewayClient.connect("127.0.0.1", gw.port)
+            await client.send(_vec_line(g, 0, session="s", id="base"))
+            await client.recv()
+            for line in bad_lines:
+                await client.send_raw(line + b"\n")
+            bad = await client.recv_many(len(bad_lines))
+            await client.send({"session": "s", "id": "good",
+                               "ops": [["add", 0, 1, 1.0]], "flush": True})
+            good = await client.recv()
+            await client.close()
+            return bad, good
+
+        (bad, good), _gw = gw_run(_drive, shards=1, frontier_budget=0.95)
+        assert sorted(r["id"] for r in bad) == ["edges", "huge", "inf", "nan"]
+        for row in bad:
+            assert row["status"] == "rejected", row
+            assert row["reject"] == REJECT_INVALID, row
+        assert good["status"] == "completed" and good["session"] == "s"
+
 
 # ---------------------------------------------------------------------------
 # soak reproducibility (the traffic harness's own contract)

@@ -351,6 +351,24 @@ def test_delta_value_problems_rejected_at_admission():
     assert "base_key" in results[1].error
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_delta_weight_is_rejected_not_failed(literal):
+    """JSON decodes NaN and Infinity, and ``NaN <= 0`` is false: such a
+    weight must be refused at admission, never reach the engine."""
+    from repro.service.delta import Delta
+
+    g = _graph()
+    delta = Delta.from_json(json.loads(f'[["add", 0, 1, {literal}]]'))
+    with JobService(cache_entries=8) as svc:
+        (r, after) = svc.run_batch([
+            JobSpec(graph=g, engine="vectorized", workers=1, delta=delta),
+            JobSpec(graph=g, engine="vectorized", workers=1, seed=0),
+        ])
+    assert r.status == STATUS_REJECTED
+    assert "finite and positive" in r.error
+    assert after.ok, after.error
+
+
 def test_unknown_base_key_is_structured_rejection():
     """An explicit base_key that misses the cache cannot be detected at
     admission (the cache may warm later in the batch) — it becomes a

@@ -12,6 +12,13 @@ network.  Hypothesis drives both directions over adversarial edge lists
   collision direction — a digest that ignored weights would serve the
   wrong partition from the cache).
 
+The bytes are pinned too: golden digests of three fixed graphs, and on
+every canonical graph the hash taken straight from the arrays equals
+the lexsort-and-coalesce reference and
+:func:`~repro.graph.stream.streamed_digest`; a non-canonical CSR
+digests as its canonical rebuild.  A refactor cannot silently re-key
+the cache or the ledger.
+
 :func:`repro.service.cache.cache_key` must split the same way on
 parameters: result-determining fields (engine/workers/seed/tau/caps/
 chunk) change the key, serving fields (priority/deadline/label/cache
@@ -24,17 +31,22 @@ bit-identically, skips the cache, and the service runs the next job on
 the same warm pool.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.build import from_edges
+from repro.graph.build import from_edge_array, from_edges
+from repro.graph.csr import CSRGraph, canonical_rows
 from repro.graph.generators import planted_partition
+from repro.graph.stream import streamed_digest
 from repro.service import JobService, JobSpec, ResultCache
 from repro.service.cache import CacheEntry, cache_key, graph_digest
 
-from tests.strategies import edge_lists, seeds
+from tests.strategies import (edge_lists, hand_built_csrs, seeds,
+                              weighted_graphs)
 
 NUM_VERTICES = 10  # fixed so permutations cannot change the vertex set
 
@@ -99,6 +111,90 @@ def test_digest_distinct_under_directedness(edges):
     und = _graph_from(edges, directed=False)
     dire = _graph_from(edges, directed=True)
     assert graph_digest(und) != graph_digest(dire)
+
+
+# ---------------------------------------------------------------------------
+# graph digest: pinned bytes, the canonical path, non-canonical rebuilds
+
+
+def _lexsort_digest(graph):
+    """``graph_digest`` as it was before the canonical path: lexsort and
+    coalesce every graph (the reference)."""
+    src, dst, w = graph.edge_array()
+    order = np.lexsort((dst, src))
+    src, dst, w = src[order], dst[order], w[order]
+    if len(src):
+        first = np.empty(len(src), dtype=bool)
+        first[0] = True
+        first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        group = np.cumsum(first) - 1
+        w = np.bincount(group, weights=w)
+        src, dst = src[first], dst[first]
+    h = hashlib.sha256()
+    h.update(f"csr/v1:{graph.num_vertices}:{int(graph.directed)}:".encode())
+    h.update(np.ascontiguousarray(src, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(dst, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(w, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+#: (graph, its digest as first published) — a change here re-keys every
+#: cache entry and every ledger run_key
+GOLDEN_DIGESTS = {
+    "planted": (
+        lambda: planted_partition(3, 10, 0.5, 0.05, seed=2)[0],
+        "a5e9a5d91b675ff033c5bcdbd4b931c8eed3224a8517a4990209be17a5d59b8b",
+    ),
+    "directed": (
+        lambda: from_edges([(0, 1, 1.0), (1, 2, 2.5), (2, 0, 0.5),
+                            (2, 3, 1.0), (3, 2, 1.0), (3, 1, 0.125)],
+                           directed=True),
+        "c2225cd828375c07354a0443d8a3be1987e59288ab662bb8eb38a3b03ad920ec",
+    ),
+    "loops_isolated": (
+        lambda: from_edges([(0, 0, 2.0), (0, 1, 0.75), (1, 2, 1.5),
+                            (2, 2, 0.25), (1, 3, 3.0), (3, 0, 1.1)],
+                           num_vertices=5),
+        "46d1b35c1fb450f8b033b8115662d6de8e8663c7fa537615d6de21e48d633a42",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_digest_bytes_are_pinned(name):
+    make, golden = GOLDEN_DIGESTS[name]
+    assert graph_digest(make()) == golden
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=weighted_graphs(), chunk_arcs=st.integers(1, 16))
+def test_canonical_digest_equals_lexsort_and_streamed(graph, chunk_arcs):
+    assert canonical_rows(graph.indptr, graph.indices)
+    assert graph_digest(graph) == _lexsort_digest(graph)
+    assert graph_digest(graph) == streamed_digest(graph, chunk_arcs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=hand_built_csrs())
+def test_any_csr_digests_as_its_canonical_rebuild(graph):
+    rebuilt = from_edge_array(
+        *graph.edge_array(), num_vertices=graph.num_vertices,
+        directed=graph.directed, input_is_arcs=True,
+    )
+    assert graph_digest(graph) == graph_digest(rebuilt)
+    assert graph_digest(graph) == _lexsort_digest(graph)
+
+
+def test_non_canonical_csr_digests_as_its_rebuild():
+    # row 0 unsorted with a duplicate arc: 0->2, 0->1, 0->2
+    g = CSRGraph(indptr=[0, 3, 4, 5], indices=[2, 1, 2, 0, 1],
+                 weights=[0.5, 1.0, 0.25, 3.0, 2.0], directed=True)
+    assert not canonical_rows(g.indptr, g.indices)
+    rebuilt = from_edge_array(*g.edge_array(), num_vertices=3,
+                              directed=True, input_is_arcs=True)
+    assert canonical_rows(rebuilt.indptr, rebuilt.indices)
+    assert rebuilt.weights.tolist() == [1.0, 0.75, 3.0, 2.0]
+    assert graph_digest(g) == graph_digest(rebuilt) == _lexsort_digest(g)
 
 
 # ---------------------------------------------------------------------------
