@@ -16,14 +16,7 @@ batched (bincount/segment-sum) answer.  This bench makes the speedup
   ``perf_gate`` (CI runs the smallest family on every push);
 * absolute throughputs plus an end-to-end engine wall time are recorded
   into ``BENCH_hotpath.json`` at the repo root — the longitudinal
-  artifact (schema documented in docs/benchmarks.md);
-* every family is additionally swept under the capacity-bounded
-  accumulation strategies (``accumulator="bounded"`` / ``"auto"``,
-  :mod:`repro.core.accumulate`), recording per-strategy throughput and
-  the in-table coverage fraction — the software analogue of the paper's
-  Fig. 5 CAM-coverage data.  Coverage is a deterministic graph property
-  (not a timing), so the skewed-family floor in
-  ``hotpath_baseline.json`` gates it without machine noise.
+  artifact (schema documented in docs/benchmarks.md).
 
 Run everything::
 
@@ -50,7 +43,6 @@ from repro.core.vectorized import (
     _best_moves,
     run_infomap_vectorized,
 )
-from repro.core.accumulate import AccumStats
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import (
     chung_lu,
@@ -143,27 +135,10 @@ def measure(family: str) -> dict:
     reps = 5 if n < 10_000 else 3
     t_ref = _best_of(lambda m, e, x, f: _best_moves(net, m, e, x, f), states, reps)
     t_new = _best_of(lambda m, e, x, f: ws.best_moves(m, e, x, f), states, reps)
-    nodes = n * len(states)
-    strategies = {}
-    for strat in ("bounded", "auto"):
-        ws_s = Workspace(accumulator=strat).bind(net)
-        ws_s.accum_stats = AccumStats()
-        for m, e, x, f in states:
-            ws_s.best_moves(m, e, x, f)
-        _, hits, spills = ws_s.accum_stats.snapshot()
-        t_s = _best_of(lambda m, e, x, f: ws_s.best_moves(m, e, x, f),
-                       states, reps)
-        strategies[strat] = {
-            "resolved": ws_s.strategy,
-            "nodes_per_s": nodes / t_s,
-            "vs_reduceat": t_new / t_s,
-            "coverage": hits / (hits + spills) if hits + spills else None,
-            "bounded_hits": int(hits),
-            "bounded_spills": int(spills),
-        }
     t0 = time.perf_counter()
     result = run_infomap_vectorized(graph)
     engine_wall = time.perf_counter() - t0
+    nodes = n * len(states)
     rec = {
         "family": family,
         "vertices": n,
@@ -176,7 +151,6 @@ def measure(family: str) -> dict:
         "engine_wall_seconds": engine_wall,
         "engine_codelength_bits": float(result.codelength),
         "engine_num_modules": int(result.num_modules),
-        "strategies": strategies,
     }
     _MEASUREMENTS[family] = rec
     return rec
@@ -196,23 +170,20 @@ def test_record_hotpath_trajectory(show):
     t = Table(
         "Batched hot-path sweep throughput (vs unbatched reference)",
         ["Family", "|V|", "arcs", "ref nodes/s", "batched nodes/s",
-         "speedup", "bounded cov", "bounded vs reduceat", "engine wall"],
+         "speedup", "engine wall"],
     )
     for r in recs:
-        b = r["strategies"]["bounded"]
         t.add_row([
             r["family"], r["vertices"], r["arcs"],
             f"{r['reference_nodes_per_s']:,.0f}",
             f"{r['batched_nodes_per_s']:,.0f}",
             f"{r['speedup']:.2f}x",
-            f"{b['coverage']:.3f}" if b["coverage"] is not None else "-",
-            f"{b['vs_reduceat']:.2f}x",
             f"{r['engine_wall_seconds'] * 1e3:.0f} ms",
         ])
     show(t)
 
     write_bench(
-        "repro.bench_hotpath/v3",
+        "repro.bench_hotpath/v4",
         {
             "metric": "sweep throughput (nodes/s), batched vs reference "
                       "best-move search on identical module states",
@@ -241,25 +212,6 @@ def test_record_hotpath_trajectory(show):
                 label=r["family"],
             )
             for r in recs
-        ] + [
-            bench_record(
-                "bench_vectorized_hotpath",
-                config={
-                    "bench": "vectorized_hotpath",
-                    "family": r["family"],
-                    "graph": r["graph_digest"],
-                    "engine": "vectorized",
-                    "accumulator": strat,
-                },
-                perf={
-                    "nodes_per_s": s["nodes_per_s"],
-                    "vs_reduceat": s["vs_reduceat"],
-                    "bounded_coverage": s["coverage"],
-                },
-                label=f"{r['family']}:{strat}",
-            )
-            for r in recs
-            for strat, s in r["strategies"].items()
         ],
     )
 
@@ -293,30 +245,4 @@ def test_perf_gate(family, show):
         f"below the checked-in floor {floor}x (tolerance {tolerance}); "
         f"the batched hot path has regressed relative to this machine's "
         f"own reference implementation"
-    )
-
-
-@pytest.mark.perf_gate
-@pytest.mark.parametrize("family", list(FAMILIES))
-def test_perf_gate_bounded_coverage(family, show):
-    """Gate the bounded strategy's in-table coverage on skewed families.
-
-    Coverage (fraction of candidate pairs resolved inside the
-    capacity-bounded table) is a deterministic function of the graph,
-    the sweep states, and the capacity — no timing noise — so it is
-    gated exactly, with no tolerance.  A drop means the probe/spill
-    logic or the capacity default changed, which is a semantic change
-    that must be re-baselined deliberately.
-    """
-    base = _baseline()
-    floor = base["families"][family].get("min_bounded_coverage")
-    if floor is None:
-        pytest.skip(f"no bounded-coverage floor for {family}")
-    rec = measure(family)
-    cov = rec["strategies"]["bounded"]["coverage"]
-    show(f"perf-gate {family}: bounded coverage {cov:.3f} (floor {floor})")
-    assert cov is not None and cov >= floor, (
-        f"{family}: bounded in-table coverage {cov} fell below the "
-        f"checked-in floor {floor}; the capacity-bounded accumulator is "
-        f"spilling more than when the floor was set"
     )

@@ -7,7 +7,6 @@ from repro.accum.base import Accumulator
 from repro.accum.plain import PlainDictAccumulator
 from repro.accum.robinhood import RobinHoodAccumulator
 from repro.accum.softhash import SoftwareHashAccumulator
-from repro.core.accumulate import ACCUMULATORS
 from repro.sim.context import HardwareContext
 from repro.sim.counters import Counters
 
@@ -30,13 +29,6 @@ def make_accumulator(
     """
     if backend == "plain":
         return PlainDictAccumulator()
-    if backend in ACCUMULATORS:
-        raise ValueError(
-            f"{backend!r} is a batched-sweep accumulation *strategy* "
-            f"(accumulator= on run_infomap / JobSpec, see "
-            f"repro.core.accumulate), not a per-vertex backend; "
-            f"valid backends: {BACKENDS}"
-        )
     if ctx is None or counters is None:
         raise ValueError(f"backend {backend!r} requires ctx and counters")
     if backend == "softhash":

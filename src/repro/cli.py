@@ -136,15 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
         "worker silent past it is treated as hung and respawned "
         "(default: wait forever, or 30s when --fault-plan is given)",
     )
-    runp.add_argument(
-        "--accumulator", default="reduceat", metavar="STRATEGY",
-        help="batched engines (vectorized/multicore/parallel) only: "
-        "candidate-accumulation strategy for the best-move sweep — "
-        "'reduceat' (sort + segment sums, default), 'bounded' "
-        "(capacity-bounded CAM-style table with overflow spill, the "
-        "paper's ASA analogue), or 'auto' (per-level choice from the "
-        "degree distribution); every strategy is bit-identical",
-    )
     runp.add_argument("--directed", action="store_true")
     runp.add_argument("--tau", type=float, default=0.15)
     runp.add_argument(
@@ -225,9 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     smt.add_argument("--workers", type=int, default=None, metavar="N")
     smt.add_argument("--seed", type=int, default=0)
     smt.add_argument("--tau", type=float, default=None)
-    smt.add_argument("--accumulator", default=None, metavar="STRATEGY",
-                     help="candidate-accumulation strategy "
-                     "(reduceat|bounded|auto; validated at admission)")
     smt.add_argument("--priority", type=int, default=None,
                      help="higher runs first; ties run in file order")
     smt.add_argument("--deadline", type=float, default=None,
@@ -395,20 +383,6 @@ def _validate_run_args(
             )
     if args.worker_timeout is not None and args.worker_timeout <= 0:
         parser.error("--worker-timeout must be positive seconds")
-    from repro.core.accumulate import ACCUMULATORS
-
-    if args.accumulator not in ACCUMULATORS:
-        parser.error(
-            f"--accumulator: unknown strategy {args.accumulator!r}; "
-            f"valid choices: {', '.join(ACCUMULATORS)}"
-        )
-    if args.accumulator != "reduceat" and args.engine not in (
-        "vectorized", "multicore", "parallel"
-    ):
-        parser.error(
-            f"--accumulator applies to the batched engines "
-            f"(vectorized/multicore/parallel), not --engine {args.engine}"
-        )
     if args.fault_plan is not None:
         from repro.core.faults import FaultPlan
 
@@ -547,7 +521,6 @@ def _run_on_graph(
             "backend": args.backend,
             "workers": args.workers or args.cores,
             "tau": args.tau,
-            "accumulator": args.accumulator,
         }
         perf = {"wall_seconds": time.perf_counter() - t_start}
         if hasattr(r, "sweep_throughput"):
@@ -569,16 +542,12 @@ def _run_on_graph(
             print(f"--engine {args.engine} has no hardware accounting; "
                   "ignoring --backend", file=sys.stderr)
         if args.engine == "vectorized":
-            r = run_infomap(
-                graph, engine="vectorized", tau=args.tau,
-                accumulator=args.accumulator,
-            )
+            r = run_infomap(graph, engine="vectorized", tau=args.tau)
         else:
             r = run_infomap(
                 graph, engine="parallel", workers=args.workers, tau=args.tau,
                 fault_plan=args.fault_plan,
                 worker_timeout=args.worker_timeout,
-                accumulator=args.accumulator,
             )
         print(r.summary())
         if args.fault_plan is not None:
@@ -603,8 +572,7 @@ def _run_on_graph(
         cm = r.cycle_model()
     else:
         r = run_infomap_multicore(
-            graph, num_cores=args.cores, backend=args.backend, tau=args.tau,
-            accumulator=args.accumulator,
+            graph, num_cores=args.cores, backend=args.backend, tau=args.tau
         )
         print(f"{r.num_modules} modules, L={r.codelength:.4f} bits, "
               f"{r.levels} levels on {r.num_cores} simulated cores")
@@ -812,8 +780,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     obj["engine"] = args.engine
     if args.engine == "vectorized" and args.workers is None:
         obj["workers"] = 1
-    for key in ("workers", "seed", "tau", "accumulator", "priority",
-                "deadline", "fault_plan", "worker_timeout", "label"):
+    for key in ("workers", "seed", "tau", "priority", "deadline",
+                "fault_plan", "worker_timeout", "label"):
         value = getattr(args, key)
         if value is not None:
             obj[key] = value

@@ -312,7 +312,6 @@ def run_bsp_infomap(
     max_passes_per_level: int = 10,
     chunk: int | None = None,
     recorder: TelemetryRecorder | None = None,
-    accumulator: str = "reduceat",
     init_module: np.ndarray | None = None,
     init_active: np.ndarray | None = None,
 ) -> BSPOutcome:
@@ -336,12 +335,6 @@ def run_bsp_infomap(
         barrier per pass, the standard batch-parallel schedule.  Small
         chunks emulate a finer-grained concurrent interleaving (more
         commits per pass) at higher merge cost.
-    accumulator:
-        Pair-accumulation strategy of the driver workspace (see
-        :mod:`repro.core.accumulate`).  The multicore backend proposes
-        through this workspace, so it inherits the strategy directly;
-        the parallel backend configures its workers to match.  All
-        strategies are bit-identical, so partitions never depend on it.
     init_module:
         Optional warm-start assignment for level 0 (one label per
         vertex, labels in ``[0, num_vertices)``; densified here).  When
@@ -388,9 +381,7 @@ def run_bsp_infomap(
     rng = make_rng(seed)
     if recorder is None:
         recorder = TelemetryRecorder(backend.engine, num_cores=num_cores)
-    ws = Workspace(accumulator=accumulator)
-    #: per-level bounded-path (hits, spills) deltas of the driver ws
-    accum_levels: dict[int, list[int]] = {}
+    ws = Workspace()
 
     with trace_span("pagerank", vertices=graph.num_vertices), \
             recorder.kernel("pagerank"):
@@ -413,7 +404,6 @@ def run_bsp_infomap(
         levels = level + 1
         n = net.num_vertices
         ws.bind(net)
-        _, lvl_h0, lvl_s0 = ws.accum_stats.snapshot()
         blocks = edge_balanced_blocks(net, num_cores)
         backend.begin_level(net, level, blocks, ws)
         recorder.begin_level(level, n)
@@ -508,9 +498,6 @@ def run_bsp_infomap(
             active_sets = list(split_active_by_block(active, blocks))
 
         flat_length = length + flat_offset
-        _, lvl_h, lvl_s = ws.accum_stats.snapshot()
-        if (lvl_h - lvl_h0) + (lvl_s - lvl_s0):
-            accum_levels[level] = [lvl_h - lvl_h0, lvl_s - lvl_s0]
         uniq = np.unique(module)
         k = len(uniq)
         dense = np.searchsorted(uniq, module).astype(np.int64)
@@ -526,23 +513,7 @@ def run_bsp_infomap(
             net = backend.coarsen(net, dense, k, ws)
 
     telemetry = recorder.finish(converged)
-    # merge driver-workspace bounded tallies (the multicore backend
-    # proposes through the driver ws) with backend-reported ones (the
-    # parallel backend's workers report theirs over the reply pipe) —
-    # exactly one of the two is nonzero for any given engine
-    kw = backend.metrics_kwargs()
-    for lvl, (h, s) in kw.pop("bounded_level_stats", {}).items():
-        ah, as_ = accum_levels.setdefault(lvl, [0, 0])
-        accum_levels[lvl] = [ah + h, as_ + s]
-    _, hits, spills = ws.accum_stats.snapshot()
-    kw["bounded_hits"] = hits + kw.get("bounded_hits", 0)
-    kw["bounded_spills"] = spills + kw.get("bounded_spills", 0)
-    kw["bounded_coverage_by_level"] = [
-        (lvl, h / (h + s))
-        for lvl, (h, s) in sorted(accum_levels.items())
-        if h + s
-    ]
-    publish_run_metrics(telemetry, **kw)
+    publish_run_metrics(telemetry, **backend.metrics_kwargs())
 
     uniq, final = np.unique(mapping, return_inverse=True)
     return BSPOutcome(

@@ -47,7 +47,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.accumulate import validate_accumulator
 from repro.core.bsp import ProposeBackend, run_bsp_infomap
 from repro.graph.build import from_edge_array
 from repro.graph.csr import CSRGraph
@@ -171,7 +170,6 @@ def warm_refresh(
     max_levels: int = 20,
     max_passes: int = 10,
     chunk: int | None = None,
-    accumulator: str = "reduceat",
     full_rerun_threshold: float = DEFAULT_FULL_RERUN_THRESHOLD,
     pool=None,
     deadline: float | None = None,
@@ -187,7 +185,7 @@ def warm_refresh(
     dirty:
         Vertices whose incident edges changed since ``labels`` was
         computed.  Ignored when ``labels`` is ``None``.
-    engine / workers / seed / chunk / accumulator:
+    engine / workers / seed / chunk:
         Which engine runs the refresh and its determinism coordinates;
         a warm refresh is identical across engines at equal
         ``workers``/``seed``/``chunk`` (the BSP schedule guarantee).
@@ -200,7 +198,6 @@ def warm_refresh(
         refreshes on its warm worker pools.
     """
     _validate_refresh_params(engine, workers)
-    validate_accumulator(accumulator)
     if not (0.0 < full_rerun_threshold <= 1.0):
         raise ValueError("full_rerun_threshold must be in (0, 1]")
     n = graph.num_vertices
@@ -223,7 +220,7 @@ def warm_refresh(
     if full:
         r = _run_full(
             graph, engine, workers, seed, tau, max_levels, max_passes,
-            chunk, accumulator, pool, deadline, worker_timeout,
+            chunk, pool, deadline, worker_timeout,
         )
         touched = n
     else:
@@ -235,8 +232,7 @@ def warm_refresh(
         seeded = seeded.astype(np.int64)
         r = _run_warm(
             graph, seeded, frontier, engine, workers, seed, tau,
-            max_levels, max_passes, chunk, accumulator, pool, deadline,
-            worker_timeout,
+            max_levels, max_passes, chunk, pool, deadline, worker_timeout,
         )
         touched = len(frontier)
     seconds = time.perf_counter() - t0
@@ -254,14 +250,14 @@ def warm_refresh(
     _publish_refresh(result)
     _ledger_refresh(
         graph, engine, workers, seed, tau, max_levels, max_passes, chunk,
-        accumulator, result,
+        result,
     )
     return result
 
 
 def _run_full(
     graph, engine, workers, seed, tau, max_levels, max_passes, chunk,
-    accumulator, pool, deadline, worker_timeout,
+    pool, deadline, worker_timeout,
 ):
     """The engine's standard from-scratch run (the fallback policy)."""
     if engine == "parallel":
@@ -271,7 +267,6 @@ def _run_full(
             graph, workers=workers, tau=tau, max_levels=max_levels,
             max_passes_per_level=max_passes, seed=seed, chunk=chunk,
             pool=pool, deadline=deadline, worker_timeout=worker_timeout,
-            accumulator=accumulator,
         )
     if engine == "multicore":
         from repro.core.multicore import run_infomap_multicore
@@ -279,20 +274,18 @@ def _run_full(
         return run_infomap_multicore(
             graph, num_cores=workers, tau=tau, max_levels=max_levels,
             max_passes_per_level=max_passes, chunk=chunk, seed=seed,
-            accumulator=accumulator,
         )
     from repro.core.vectorized import run_infomap_vectorized
 
     return run_infomap_vectorized(
         graph, tau=tau, max_levels=max_levels,
         max_rounds_per_level=max_passes, seed=seed,
-        accumulator=accumulator,
     )
 
 
 def _run_warm(
     graph, seeded, frontier, engine, workers, seed, tau, max_levels,
-    max_passes, chunk, accumulator, pool, deadline, worker_timeout,
+    max_passes, chunk, pool, deadline, worker_timeout,
 ):
     """The warm-started BSP run (identical partition on every engine)."""
     if engine == "parallel":
@@ -302,7 +295,6 @@ def _run_warm(
             graph, workers=workers, tau=tau, max_levels=max_levels,
             max_passes_per_level=max_passes, seed=seed, chunk=chunk,
             pool=pool, deadline=deadline, worker_timeout=worker_timeout,
-            accumulator=accumulator,
             init_module=seeded, init_active=frontier,
         )
     if engine == "multicore":
@@ -311,14 +303,12 @@ def _run_warm(
         return run_infomap_multicore(
             graph, num_cores=workers, tau=tau, max_levels=max_levels,
             max_passes_per_level=max_passes, chunk=chunk, seed=seed,
-            accumulator=accumulator,
             init_module=seeded, init_active=frontier,
         )
     return run_bsp_infomap(
         graph, _InprocessSweep(), 1, seed=seed, tau=tau,
         max_levels=max_levels, max_passes_per_level=max_passes,
-        chunk=chunk, accumulator=accumulator,
-        init_module=seeded, init_active=frontier,
+        chunk=chunk, init_module=seeded, init_active=frontier,
     )
 
 
@@ -336,7 +326,7 @@ def _publish_refresh(result: RefreshResult) -> None:
 
 def _ledger_refresh(
     graph, engine, workers, seed, tau, max_levels, max_passes, chunk,
-    accumulator, result,
+    result,
 ) -> None:
     """One ``kind="dynamic"`` ledger row per refresh (when armed)."""
     if not obs_ledger.is_enabled():
@@ -355,7 +345,6 @@ def _ledger_refresh(
             "max_levels": max_levels,
             "max_passes_per_level": max_passes,
             "chunk": chunk,
-            "accumulator": accumulator,
         },
         telemetry={
             "codelength": result.codelength,
@@ -382,7 +371,7 @@ class DynamicCommunities:
         Edge direction semantics.
     tau:
         Teleportation for directed flows.
-    engine / workers / seed / chunk / accumulator:
+    engine / workers / seed / chunk:
         Engine configuration every refresh runs with (see
         :func:`warm_refresh`).
     full_rerun_threshold:
@@ -399,13 +388,11 @@ class DynamicCommunities:
         workers: int = 1,
         seed: int = 0,
         chunk: int | None = None,
-        accumulator: str = "reduceat",
         full_rerun_threshold: float = DEFAULT_FULL_RERUN_THRESHOLD,
     ):
         if num_vertices <= 0:
             raise ValueError("num_vertices must be positive")
         _validate_refresh_params(engine, workers)
-        validate_accumulator(accumulator)
         if not (0.0 < full_rerun_threshold <= 1.0):
             raise ValueError("full_rerun_threshold must be in (0, 1]")
         self.num_vertices = num_vertices
@@ -415,7 +402,6 @@ class DynamicCommunities:
         self.workers = workers
         self.seed = seed
         self.chunk = chunk
-        self.accumulator = accumulator
         self.full_rerun_threshold = full_rerun_threshold
         self._edges: dict[tuple[int, int], float] = {}
         self._dirty: set[int] = set()
@@ -519,8 +505,7 @@ class DynamicCommunities:
             graph, self.modules, dirty,
             engine=self.engine, workers=self.workers, seed=self.seed,
             tau=self.tau, max_levels=max_levels, max_passes=max_passes,
-            chunk=self.chunk, accumulator=self.accumulator,
-            full_rerun_threshold=self.full_rerun_threshold,
+            chunk=self.chunk, full_rerun_threshold=self.full_rerun_threshold,
         )
         self.modules = result.modules.copy()
         self.num_modules = result.num_modules

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.accum.factory import make_accumulator
-from repro.core.accumulate import validate_accumulator
 from repro.core.findbest import find_best_pass
 from repro.core.flow import FlowNetwork
 from repro.core.partition import Partition
@@ -148,7 +147,6 @@ def run_infomap(
     worker_timeout: float | None = None,
     pool=None,
     deadline: float | None = None,
-    accumulator: str = "reduceat",
 ):
     """Run multilevel Infomap on ``graph`` — the single engine entry point.
 
@@ -190,16 +188,6 @@ def run_infomap(
         wall-clock budget in seconds after which the run is cancelled
         with :class:`repro.core.parallel.DeadlineExceeded`.  The job
         service (:mod:`repro.service`) drives runs through these.
-    accumulator:
-        Candidate-accumulation strategy for the batched engines'
-        best-move sweeps: ``"reduceat"`` (sort + segment sums, the
-        default), ``"bounded"`` (capacity-bounded CAM-style table with
-        overflow spill, the paper's ASA analogue), or ``"auto"``
-        (per-level choice from the degree distribution).  All
-        strategies produce bit-identical results
-        (:mod:`repro.core.accumulate`).  Rejected for the
-        ``sequential`` engine, which accumulates per vertex through
-        its :mod:`repro.accum` backend instead.
     backend:
         ``"plain"`` (uninstrumented dict), ``"softhash"`` (the paper's
         Baseline), or ``"asa"``.  Instrumented engines (``sequential``,
@@ -229,19 +217,10 @@ def run_infomap(
         Per the ``engine`` choice; all expose ``modules``,
         ``num_modules``, ``codelength``, and ``telemetry``.
     """
-    validate_accumulator(accumulator)
     if workers is not None and engine not in ("multicore", "parallel"):
         raise ValueError(
             f"workers= applies to the 'multicore' and 'parallel' engines, "
             f"not {engine!r}"
-        )
-    if accumulator != "reduceat" and engine not in (
-        "vectorized", "multicore", "parallel"
-    ):
-        raise ValueError(
-            f"accumulator= applies to the batched engines ('vectorized', "
-            f"'multicore', 'parallel'), not {engine!r}; the sequential "
-            f"engine accumulates through its backend= instead"
         )
     if (fault_plan is not None or worker_timeout is not None) \
             and engine != "parallel":
@@ -262,7 +241,6 @@ def run_infomap(
             tau=tau,
             max_levels=max_levels,
             seed=shuffle_seed if shuffle_seed is not None else 0,
-            accumulator=accumulator,
         )
     if engine == "multicore":
         from repro.core.multicore import run_infomap_multicore
@@ -276,7 +254,6 @@ def run_infomap(
             max_levels=max_levels,
             max_passes_per_level=max_passes_per_level,
             seed=shuffle_seed if shuffle_seed is not None else 0,
-            accumulator=accumulator,
         )
     if engine == "parallel":
         from repro.core.parallel import run_infomap_parallel
@@ -292,7 +269,6 @@ def run_infomap(
             worker_timeout=worker_timeout,
             pool=pool,
             deadline=deadline,
-            accumulator=accumulator,
         )
     if engine != "sequential":
         raise ValueError(

@@ -291,7 +291,6 @@ def run_infomap_multicore(
     max_passes_per_level: int = 10,
     chunk: int | None = None,
     seed: int = 0,
-    accumulator: str = "reduceat",
     init_module: np.ndarray | None = None,
     init_active: np.ndarray | None = None,
 ) -> MulticoreResult:
@@ -308,9 +307,6 @@ def run_infomap_multicore(
     seed:
         Seeds the commit's conflict-backoff RNG.  ``multicore(P=k)`` and
         ``parallel(P=k)`` are bit-identical at equal ``seed``/``chunk``.
-    accumulator:
-        Pair-accumulation strategy of the shard-restricted sweeps (see
-        :mod:`repro.core.accumulate`); bit-identical across strategies.
     init_module / init_active:
         Warm-start assignment and first-pass restriction for level 0
         (see :func:`repro.core.bsp.run_bsp_infomap`) — the incremental
@@ -338,7 +334,6 @@ def run_infomap_multicore(
             max_passes_per_level=max_passes_per_level,
             chunk=chunk,
             recorder=recorder,
-            accumulator=accumulator,
             init_module=init_module,
             init_active=init_active,
         )

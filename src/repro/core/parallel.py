@@ -104,7 +104,6 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.core import arena
-from repro.core.accumulate import validate_accumulator
 from repro.core.bsp import BSPPassRecord, ProposeBackend, run_bsp_infomap
 from repro.core.faults import (
     DEFAULT_WORKER_TIMEOUT,
@@ -309,9 +308,8 @@ def _worker_main(conn, worker_id: int) -> None:
     — and ``("roundv", verts, fault)`` with the shard spelled out (the
     recovery fallback for a respawned worker that missed the orders).
     Either way the proposals land in this worker's arena reply buffer
-    and only a constant-size ``("done", id, count, wall, hits,
-    spills)`` crosses the pipe — the trailing pair reports the sweep's
-    bounded-accumulator tallies (both 0 under the reduceat strategy).
+    and only a constant-size ``("done", id, count, wall)`` crosses the
+    pipe.
     """
     _disable_shm_tracking()
     shm: shared_memory.SharedMemory | None = None
@@ -324,7 +322,6 @@ def _worker_main(conn, worker_id: int) -> None:
         if fault is not None and _perform_fault(conn, worker_id, fault):
             return
         t0 = time.perf_counter()
-        _, h0, s0 = ws.accum_stats.snapshot()
         v, t, _ = ws.best_moves(
             views["module"], views["enter"], views["exit"],
             views["flow"], verts=verts,
@@ -332,25 +329,18 @@ def _worker_main(conn, worker_id: int) -> None:
         k = len(v)
         views[f"reply_verts_{worker_id}"][:k] = v
         views[f"reply_targets_{worker_id}"][:k] = t
-        _, h1, s1 = ws.accum_stats.snapshot()
-        conn.send((
-            "done", worker_id, k, time.perf_counter() - t0,
-            h1 - h0, s1 - s0,
-        ))
+        conn.send(("done", worker_id, k, time.perf_counter() - t0))
 
     try:
         while True:
             msg = conn.recv()
             kind = msg[0]
             if kind == "bind":
-                _, shm_name, descr, directed, accum = msg
+                _, shm_name, descr, directed = msg
                 new = shared_memory.SharedMemory(name=shm_name)
                 old_shm, shm = shm, new
                 views = _views(shm.buf, descr)
                 net = _net_from_views(views, directed)
-                ws.net = None  # old arena views die with this bind
-                if ws.accumulator != accum:
-                    ws.set_accumulator(accum)
                 ws.bind(net)
                 order = None
                 conn.send(("bound", worker_id))
@@ -427,22 +417,18 @@ class DeadlineExceeded(RuntimeError):
 
 
 def _valid_round_reply(msg, worker: int, cap: int) -> bool:
-    """A round reply is ``("done", worker, count, wall_seconds, hits,
-    spills)`` with ``count`` proposals sitting in the worker's arena
-    reply buffer (``0 <= count <= cap``) and non-negative bounded-
-    accumulator tallies — anything else marks the worker compromised."""
+    """A round reply is ``("done", worker, count, wall_seconds)`` with
+    ``count`` proposals sitting in the worker's arena reply buffer
+    (``0 <= count <= cap``) — anything else marks the worker
+    compromised."""
     return (
         _tagged(msg, "done")
-        and len(msg) == 6
+        and len(msg) == 4
         and isinstance(msg[1], int)
         and msg[1] == worker
         and isinstance(msg[2], int)
         and 0 <= msg[2] <= cap
         and isinstance(msg[3], (int, float))
-        and isinstance(msg[4], int)
-        and msg[4] >= 0
-        and isinstance(msg[5], int)
-        and msg[5] >= 0
     )
 
 
@@ -464,13 +450,9 @@ class _WorkerPool(ProposeBackend):
         start_method: str | None = None,
         fault_plan: FaultPlan | None = None,
         worker_timeout: float | None = None,
-        accumulator: str = "reduceat",
     ) -> None:
         self.workers = workers
         self.worker_timeout = worker_timeout
-        #: sweep accumulation strategy shipped to workers at every bind
-        #: (see repro.core.accumulate); per-run, rearmed by reset_run
-        self.accumulator = validate_accumulator(accumulator)
         self._injector = (
             FaultInjector(fault_plan) if fault_plan is not None else None
         )
@@ -509,11 +491,6 @@ class _WorkerPool(ProposeBackend):
         self.state_writes = 0
         self.respawns = 0
         self.faults_detected: dict[str, int] = {}
-        #: worker-reported bounded-accumulator tallies (run totals and
-        #: per-level {level: [hits, spills]})
-        self.accum_hits = 0
-        self.accum_spills = 0
-        self._accum_levels: dict[int, list[int]] = {}
 
     @property
     def closed(self) -> bool:
@@ -608,9 +585,7 @@ class _WorkerPool(ProposeBackend):
         self.respawns += 1
         if self._shm is not None:
             if not self._try_send(
-                p,
-                ("bind", self._shm.name, self._descr, self._directed,
-                 self.accumulator),
+                p, ("bind", self._shm.name, self._descr, self._directed)
             ):
                 raise RuntimeError(
                     f"parallel worker {p} died again during recovery "
@@ -655,10 +630,9 @@ class _WorkerPool(ProposeBackend):
         pass orders (``_spawn`` drops its flag), and a compromised one
         cannot be trusted with a window either.
 
-        Returns ``(verts, targets, wall_seconds, bounded_hits,
-        bounded_spills)``; the arrays are copied out of the worker's
-        arena reply buffer (the buffer is reused next round, the commit
-        stream must not alias it).
+        Returns ``(verts, targets, wall_seconds)``; the arrays are
+        copied out of the worker's arena reply buffer (the buffer is
+        reused next round, the commit stream must not alias it).
         """
         cap = self._reply_caps[p]
         for _attempt in range(_MAX_RECOVERIES):
@@ -682,7 +656,7 @@ class _WorkerPool(ProposeBackend):
             count = msg[2]
             verts = np.array(self._state[f"reply_verts_{p}"][:count])
             targets = np.array(self._state[f"reply_targets_{p}"][:count])
-            return verts, targets, msg[3], msg[4], msg[5]
+            return verts, targets, msg[3]
         raise RuntimeError(
             f"parallel worker {p} failed {_MAX_RECOVERIES} consecutive "
             f"recoveries at barrier {self._barrier}; giving up"
@@ -721,9 +695,7 @@ class _WorkerPool(ProposeBackend):
         self._state = views
         pending = []
         for p in range(self.workers):
-            if self._try_send(
-                p, ("bind", new.name, descr, net.directed, self.accumulator)
-            ):
+            if self._try_send(p, ("bind", new.name, descr, net.directed)):
                 pending.append(p)
             else:  # died before the handshake: recovery rebinds + acks
                 self._recover(p, "died", "pipe broken at bind")
@@ -789,14 +761,8 @@ class _WorkerPool(ProposeBackend):
         verts_parts: list[np.ndarray] = []
         targ_parts: list[np.ndarray] = []
         for p, shard in dispatched:
-            v, t, worker_wall, acc_h, acc_s = self._gather_round(p, shard)
+            v, t, worker_wall = self._gather_round(p, shard)
             self.worker_propose_seconds[p] += worker_wall
-            if acc_h or acc_s:
-                self.accum_hits += acc_h
-                self.accum_spills += acc_s
-                lvl = self._accum_levels.setdefault(self._level, [0, 0])
-                lvl[0] += acc_h
-                lvl[1] += acc_s
             record_span(
                 "parallel.propose", worker_wall, core=p,
                 worker=p, verts=len(shard), proposals=len(v),
@@ -814,37 +780,23 @@ class _WorkerPool(ProposeBackend):
         # workers read are now stale and must be rewritten next round
         self._state_dirty = True
 
-    def metrics_kwargs(self) -> dict:
-        if not (self.accum_hits or self.accum_spills):
-            return {}
-        return {
-            "bounded_hits": self.accum_hits,
-            "bounded_spills": self.accum_spills,
-            "bounded_level_stats": {
-                lvl: list(v) for lvl, v in self._accum_levels.items()
-            },
-        }
-
     # ------------------------------------------------- multi-run lifecycle
     def reset_run(
         self,
         fault_plan: FaultPlan | None = None,
         worker_timeout: float | None = None,
-        accumulator: str = "reduceat",
     ) -> None:
         """Rearm a warm pool for its next run.
 
         Zeroes every per-run stat (propose walls, respawns, fault
-        counts), installs the next run's fault plan / reply deadline and
-        accumulation strategy, clears any job deadline, and silently
-        respawns workers that died while the pool sat idle — so job N+1
-        starts from the same state a cold pool would, minus the
-        fork+handshake it just skipped.
+        counts), installs the next run's fault plan / reply deadline,
+        clears any job deadline, and silently respawns workers that died
+        while the pool sat idle — so job N+1 starts from the same state
+        a cold pool would, minus the fork+handshake it just skipped.
         """
         if self._closed:
             raise RuntimeError("cannot reset a closed worker pool")
         self.worker_timeout = worker_timeout
-        self.accumulator = validate_accumulator(accumulator)
         self._injector = (
             FaultInjector(fault_plan) if fault_plan is not None else None
         )
@@ -858,9 +810,6 @@ class _WorkerPool(ProposeBackend):
         self.state_writes = 0
         self.respawns = 0
         self.faults_detected = {}
-        self.accum_hits = 0
-        self.accum_spills = 0
-        self._accum_levels = {}
         self._orders_ok = [False] * self.workers
         self._cursor = [0] * self.workers
         self._state_dirty = True
@@ -955,7 +904,6 @@ def run_infomap_parallel(
     worker_timeout: float | None = None,
     pool: "_WorkerPool | None" = None,
     deadline: float | None = None,
-    accumulator: str = "reduceat",
     init_module: np.ndarray | None = None,
     init_active: np.ndarray | None = None,
 ) -> ParallelResult:
@@ -1007,11 +955,6 @@ def run_infomap_parallel(
         Optional wall-clock budget in seconds for the whole run; when
         it lapses the run is cancelled at the next barrier or poll
         quantum with :class:`DeadlineExceeded`.
-    accumulator:
-        Candidate-accumulation strategy for the workers' best-move
-        sweeps (``"reduceat"`` | ``"bounded"`` | ``"auto"``, see
-        :mod:`repro.core.accumulate`).  Every strategy is bit-identical;
-        this only trades sort work against capacity-bounded probing.
     init_module / init_active:
         Warm-start assignment and first-pass restriction for level 0
         (see :func:`repro.core.bsp.run_bsp_infomap`) — the incremental
@@ -1029,14 +972,12 @@ def run_infomap_parallel(
         raise ValueError("worker_timeout must be positive seconds (or None)")
     if deadline is not None and deadline <= 0:
         raise ValueError("deadline must be positive seconds (or None)")
-    validate_accumulator(accumulator)
 
     owns_pool = pool is None
     if owns_pool:
         pool = _WorkerPool(
             workers, start_method,
             fault_plan=fault_plan, worker_timeout=worker_timeout,
-            accumulator=accumulator,
         )
     else:
         if pool.closed:
@@ -1045,10 +986,7 @@ def run_infomap_parallel(
             raise ValueError(
                 f"pool has {pool.workers} workers, run asked for {workers}"
             )
-        pool.reset_run(
-            fault_plan=fault_plan, worker_timeout=worker_timeout,
-            accumulator=accumulator,
-        )
+        pool.reset_run(fault_plan=fault_plan, worker_timeout=worker_timeout)
     if deadline is not None:
         pool.job_deadline = time.monotonic() + deadline
     recorder = TelemetryRecorder("parallel", num_cores=workers)
@@ -1064,7 +1002,6 @@ def run_infomap_parallel(
                 max_passes_per_level=max_passes_per_level,
                 chunk=chunk,
                 recorder=recorder,
-                accumulator=accumulator,
                 init_module=init_module,
                 init_active=init_active,
             )

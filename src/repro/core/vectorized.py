@@ -52,13 +52,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.accumulate import (
-    DEFAULT_CAM_CAPACITY,
-    AccumStats,
-    bounded_group_sums,
-    resolve_strategy,
-    validate_accumulator,
-)
 from repro.core.flow import FlowNetwork
 from repro.core.mapequation import MapEquation
 from repro.core.supernode import convert_to_supernodes
@@ -97,18 +90,6 @@ class VectorizedResult:
     rounds: int
     #: measured-wall-time convergence record (see repro.obs.telemetry)
     telemetry: ConvergenceTelemetry | None = None
-    #: requested accumulation strategy ("reduceat" | "bounded" | "auto")
-    accumulator: str = "reduceat"
-    #: bounded-table pairs resolved in-slot / spilled to the sort path
-    #: (both 0 when every level ran the reduceat strategy)
-    bounded_hits: int = 0
-    bounded_spills: int = 0
-
-    @property
-    def bounded_coverage(self) -> float | None:
-        """In-table fraction of bounded-path pairs (the Fig. 5 analogue)."""
-        total = self.bounded_hits + self.bounded_spills
-        return self.bounded_hits / total if total else None
 
     def summary(self) -> str:
         return (
@@ -139,42 +120,11 @@ class Workspace:
       one Workspace across levels/graphs is bit-identical to using a
       fresh one — ``tests/test_hotpath_parity.py`` has a regression
       test for exactly this.
-    * The pair accumulation runs one of the strategies of
-      :mod:`repro.core.accumulate` (``accumulator=``); ``auto``
-      re-resolves per :meth:`bind` from the level's degree statistics.
-      Every strategy is bit-identical, so the choice — and when it is
-      made — can only affect wall time, never results
-      (``tests/test_accumulator_parity.py``).
     """
 
-    def __init__(
-        self,
-        accumulator: str = "reduceat",
-        capacity: int = DEFAULT_CAM_CAPACITY,
-    ) -> None:
+    def __init__(self) -> None:
         self.net: FlowNetwork | None = None
         self._bufs: dict[str, np.ndarray] = {}
-        self.accumulator = validate_accumulator(accumulator)
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = int(capacity)
-        #: strategy resolved for the currently bound level
-        self.strategy = "reduceat"
-        #: lifetime bounded-path tallies (pairs/hits/spills)
-        self.accum_stats = AccumStats()
-
-    def set_accumulator(
-        self, accumulator: str, capacity: int | None = None
-    ) -> "Workspace":
-        """Switch strategy; re-resolves against the bound level if any."""
-        self.accumulator = validate_accumulator(accumulator)
-        if capacity is not None:
-            if capacity < 1:
-                raise ValueError("capacity must be >= 1")
-            self.capacity = int(capacity)
-        if self.net is not None:
-            self.bind(self.net)
-        return self
 
     # -- capacity-backed buffers ---------------------------------------
     def _buf(self, name: str, size: int, dtype=np.float64) -> np.ndarray:
@@ -230,21 +180,6 @@ class Workspace:
             self.pair_dst = dst_nl
             self.pair_w_out = f_nl
             self.pair_w_in = None  # aliases pair_w_out
-        self.strategy = resolve_strategy(
-            self.accumulator, net.indptr, self.capacity
-        )
-        if self.strategy == "bounded" and net.directed:
-            # the bounded table probes vertex-contiguous pair segments;
-            # the directed pair list concatenates two src-sorted halves,
-            # so stably re-sort it by source.  Equal sweep keys always
-            # share a source, so within every (vertex, module) group the
-            # original pair order — and hence every strategy's float
-            # summation sequence — is unchanged (stable sorts compose).
-            order = np.argsort(self.pair_src, kind="stable")
-            self.pair_src = self.pair_src[order]
-            self.pair_dst = self.pair_dst[order]
-            self.pair_w_out = self.pair_w_out[order]
-            self.pair_w_in = self.pair_w_in[order]
         return self
 
     # -- module state ----------------------------------------------------
@@ -326,51 +261,34 @@ class Workspace:
         if P == 0:
             return _EMPTY_MOVES
 
-        # 1. candidate module per pair
+        # 1. pair keys: (vertex, candidate-module) as one int64
         mdst = np.take(module, pair_dst, out=self._buf("bm_mdst", P, np.int64))
+        key = np.multiply(pair_src, np.int64(n), out=self._buf("bm_key", P, np.int64))
+        key += mdst
 
-        if self.strategy == "bounded":
-            # 2+3. capacity-bounded slot table with overflow merge —
-            # bit-identical group sums (see repro.core.accumulate)
-            pv, pm, out_to, in_from, hits, spills = bounded_group_sums(
-                pair_src, mdst, w_out_all,
-                w_in_all if net.directed else None,
-                n, self.capacity, self._buf, self._iota,
+        # 2. group equal keys (stable sort -> radix on int64)
+        order = np.argsort(key, kind="stable")
+        ks = np.take(key, order, out=self._buf("bm_ks", P, np.int64))
+        bounds = self._buf("bm_bounds", P, bool)
+        bounds[0] = True
+        np.not_equal(ks[1:], ks[:-1], out=bounds[1:])
+        starts = np.flatnonzero(bounds)
+
+        # 3. segment sums: the sparse accumulation
+        w_sorted = np.take(
+            w_out_all, order, out=self._buf("bm_wo", P)
+        )
+        out_to = np.add.reduceat(w_sorted, starts)
+        if net.directed:
+            wi_sorted = np.take(
+                w_in_all, order, out=self._buf("bm_wi", P)
             )
-            if in_from is None:
-                in_from = out_to
-            self.accum_stats.pairs += P
-            self.accum_stats.hits += hits
-            self.accum_stats.spills += spills
+            in_from = np.add.reduceat(wi_sorted, starts)
         else:
-            # 2. group (vertex, candidate-module) int64 keys
-            #    (stable sort -> radix on int64)
-            key = np.multiply(
-                pair_src, np.int64(n), out=self._buf("bm_key", P, np.int64)
-            )
-            key += mdst
-            order = np.argsort(key, kind="stable")
-            ks = np.take(key, order, out=self._buf("bm_ks", P, np.int64))
-            bounds = self._buf("bm_bounds", P, bool)
-            bounds[0] = True
-            np.not_equal(ks[1:], ks[:-1], out=bounds[1:])
-            starts = np.flatnonzero(bounds)
-
-            # 3. segment sums: the sparse accumulation
-            w_sorted = np.take(
-                w_out_all, order, out=self._buf("bm_wo", P)
-            )
-            out_to = np.add.reduceat(w_sorted, starts)
-            if net.directed:
-                wi_sorted = np.take(
-                    w_in_all, order, out=self._buf("bm_wi", P)
-                )
-                in_from = np.add.reduceat(wi_sorted, starts)
-            else:
-                in_from = out_to
-            sel = order[starts]
-            pv = pair_src[sel]      # pair vertex (non-decreasing)
-            pm = mdst[sel]          # pair candidate module
+            in_from = out_to
+        sel = order[starts]
+        pv = pair_src[sel]          # pair vertex (non-decreasing)
+        pm = mdst[sel]              # pair candidate module
 
         cur = module[pv]
         # per-vertex flow to its current module (gathered from the pairs)
@@ -686,8 +604,6 @@ def run_infomap_vectorized(
     max_rounds_per_level: int = 30,
     seed: int = 0,
     workspace: Workspace | None = None,
-    accumulator: str | None = None,
-    capacity: int | None = None,
 ) -> VectorizedResult:
     """Run the batch-synchronous multilevel Infomap.
 
@@ -712,23 +628,9 @@ def run_infomap_vectorized(
         Optional :class:`Workspace` to reuse across runs; by default each
         run owns one (it is still reused across all passes and levels
         within the run).
-    accumulator, capacity:
-        Pair-accumulation strategy and bounded-table slot count (see
-        :mod:`repro.core.accumulate`).  ``None`` (default) keeps the
-        given workspace's configuration (``"reduceat"`` for a fresh
-        one).  All strategies are bit-identical; only wall time and the
-        ``accum.bounded.*`` metrics differ.
     """
     rng = make_rng(seed)
     ws = workspace if workspace is not None else Workspace()
-    if accumulator is not None or capacity is not None:
-        ws.set_accumulator(
-            accumulator if accumulator is not None else ws.accumulator,
-            capacity,
-        )
-    run_accum = ws.accumulator
-    pairs0, hits0, spills0 = ws.accum_stats.snapshot()
-    level_cov: list[tuple[int, float]] = []
     recorder = TelemetryRecorder("vectorized")
     with trace_span("infomap.run", engine="vectorized"):
         with trace_span("pagerank", vertices=graph.num_vertices), \
@@ -748,7 +650,6 @@ def run_infomap_vectorized(
         for level in range(max_levels):
             levels = level + 1
             ws.bind(net)
-            _, lvl_h0, lvl_s0 = ws.accum_stats.snapshot()
             recorder.begin_level(level, net.num_vertices)
             node_flow_log_level = float(plogp_array(net.node_flow).sum())
             dense, k, level_length, rounds = _one_level(
@@ -762,10 +663,6 @@ def run_infomap_vectorized(
             )
             length = level_length + node_flow_log_level - node_flow_log0
             total_rounds += rounds
-            _, lvl_h, lvl_s = ws.accum_stats.snapshot()
-            dh, ds = lvl_h - lvl_h0, lvl_s - lvl_s0
-            if dh + ds:
-                level_cov.append((level, dh / (dh + ds)))
             recorder.end_level(k, length)
             log.debug(
                 "level %d: %d -> %d modules, L=%.4f bits after %d rounds",
@@ -780,14 +677,7 @@ def run_infomap_vectorized(
                 net = convert_to_supernodes(net, dense, k, src=ws.src_all)
 
     telemetry = recorder.finish(converged)
-    _, hits, spills = ws.accum_stats.snapshot()
-    run_hits, run_spills = hits - hits0, spills - spills0
-    publish_run_metrics(
-        telemetry,
-        bounded_hits=run_hits,
-        bounded_spills=run_spills,
-        bounded_coverage_by_level=level_cov,
-    )
+    publish_run_metrics(telemetry)
     uniq, final = np.unique(mapping, return_inverse=True)
     return VectorizedResult(
         modules=final.astype(np.int64),
@@ -797,7 +687,4 @@ def run_infomap_vectorized(
         levels=levels,
         rounds=total_rounds,
         telemetry=telemetry,
-        accumulator=run_accum,
-        bounded_hits=run_hits,
-        bounded_spills=run_spills,
     )

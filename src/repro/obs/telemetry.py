@@ -195,10 +195,7 @@ class TelemetryRecorder:
 
 def publish_run_metrics(tele: ConvergenceTelemetry, *,
                         overflow_evictions: int = 0,
-                        rehashes: int = 0,
-                        bounded_hits: int = 0,
-                        bounded_spills: int = 0,
-                        bounded_coverage_by_level=()) -> None:
+                        rehashes: int = 0) -> None:
     """Push one run's telemetry into the active metrics registry.
 
     No-op when metrics are disabled, so engines can call this
@@ -211,14 +208,7 @@ def publish_run_metrics(tele: ConvergenceTelemetry, *,
     * ``kernel.wall_seconds{engine,kernel}`` histograms from the measured
       per-invocation kernel wall times;
     * ``accum.overflow_evictions`` / ``accum.rehashes`` counters from the
-      accumulator backends' rare-event tallies;
-    * ``accum.bounded.hits`` / ``accum.bounded.overflows`` counters and
-      the ``accum.bounded.coverage{engine,level}`` gauge (plus a
-      ``level="final"`` whole-run series) when any sweep ran the
-      capacity-bounded accumulation strategy
-      (:mod:`repro.core.accumulate`) — the software analogue of the
-      paper's Fig. 5 CAM-coverage data.  ``bounded_coverage_by_level``
-      is an iterable of ``(level, in_table_fraction)`` pairs.
+      accumulator backends' rare-event tallies.
     """
     if not obs_metrics.is_enabled():
         return
@@ -248,16 +238,4 @@ def publish_run_metrics(tele: ConvergenceTelemetry, *,
         )
     if rehashes:
         reg.counter("accum.rehashes", engine=eng).inc(rehashes)
-    if bounded_hits or bounded_spills:
-        reg.counter("accum.bounded.hits", engine=eng).inc(bounded_hits)
-        reg.counter("accum.bounded.overflows", engine=eng).inc(
-            bounded_spills
-        )
-        reg.gauge("accum.bounded.coverage", engine=eng, level="final").set(
-            bounded_hits / (bounded_hits + bounded_spills)
-        )
-        for level, cov in bounded_coverage_by_level:
-            reg.gauge(
-                "accum.bounded.coverage", engine=eng, level=level
-            ).set(cov)
     reg.gauge("run.wall_seconds", engine=eng).set(tele.wall_seconds)

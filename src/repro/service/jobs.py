@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.accumulate import validate_accumulator
 from repro.core.faults import FaultPlan
 from repro.graph.csr import CSRGraph
 from repro.service.delta import Delta
@@ -56,9 +55,8 @@ class JobSpec:
 
     Result-determining parameters (everything the cache key hashes):
     ``graph``, ``engine``, ``workers``, ``seed``, ``tau``,
-    ``max_levels``, ``max_passes_per_level``, ``chunk``,
-    ``accumulator``, plus — for delta jobs — ``delta`` and
-    ``base_key``.  Serving
+    ``max_levels``, ``max_passes_per_level``, ``chunk``, plus — for
+    delta jobs — ``delta`` and ``base_key``.  Serving
     parameters (never part of the cache key): ``priority``,
     ``deadline``, ``use_cache``, ``fault_plan``, ``worker_timeout``,
     ``label``.
@@ -72,11 +70,6 @@ class JobSpec:
     max_levels: int = 20
     max_passes_per_level: int = 10
     chunk: int | None = None
-    #: candidate-accumulation strategy for the best-move sweep
-    #: (``"reduceat"`` | ``"bounded"`` | ``"auto"``); every strategy is
-    #: bit-identical, so it is hashed into the cache key only for
-    #: byte-exact replay bookkeeping (see :mod:`repro.core.accumulate`)
-    accumulator: str = "reduceat"
     #: higher runs first; ties break FIFO by submission order
     priority: int = 0
     #: wall-clock budget in seconds (``parallel`` only); a job past it
@@ -120,6 +113,9 @@ class JobSpec:
             )
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValueError("seed must be an int")
+        if not isinstance(self.priority, int) \
+                or isinstance(self.priority, bool):
+            raise ValueError("priority must be an int")
         if not (0.0 < self.tau < 1.0):
             raise ValueError("tau must be in (0, 1)")
         if self.max_levels < 1 or self.max_passes_per_level < 1:
@@ -128,7 +124,6 @@ class JobSpec:
             )
         if self.chunk is not None and self.chunk < 1:
             raise ValueError("chunk must be >= 1 (or None for whole shards)")
-        validate_accumulator(self.accumulator)
         if self.deadline is not None:
             if self.engine != "parallel":
                 raise ValueError(

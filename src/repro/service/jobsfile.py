@@ -56,9 +56,9 @@ __all__ = ["load_jobs", "append_job", "spec_fields_from_json"]
 #: graph-source keys, which are handled separately)
 _SPEC_KEYS = (
     "engine", "workers", "seed", "tau", "max_levels",
-    "max_passes_per_level", "chunk", "accumulator", "priority",
-    "deadline", "use_cache", "fault_plan", "worker_timeout", "label",
-    "delta", "base_key",
+    "max_passes_per_level", "chunk", "priority", "deadline",
+    "use_cache", "fault_plan", "worker_timeout", "label", "delta",
+    "base_key",
 )
 _GRAPH_KEYS = ("dataset", "edge_list", "planted", "edges")
 _FILE_KEYS = _SPEC_KEYS + _GRAPH_KEYS + ("directed",)
@@ -147,7 +147,10 @@ class _GraphResolver:
         if key[0] == "dataset":
             from repro.graph.datasets import load_dataset
 
-            graph = load_dataset(obj["dataset"])
+            try:
+                graph = load_dataset(obj["dataset"])
+            except KeyError as exc:  # unknown name
+                raise ValueError(f"{where}: {exc.args[0]}") from None
         elif key[0] == "edges":
             from repro.graph.build import from_edges
 
@@ -159,7 +162,9 @@ class _GraphResolver:
                     directed=bool(recipe.get("directed", False)),
                     name=str(recipe.get("name", "inline")),
                 )
-            except ValueError as exc:
+            except (ValueError, OverflowError, MemoryError) as exc:
+                # OverflowError: an id or count past int64; MemoryError:
+                # a count numpy cannot allocate
                 raise ValueError(f"{where}: bad 'edges' graph: {exc}")
         elif key[0] == "edge_list":
             from repro.graph.io import read_edge_list
@@ -177,7 +182,7 @@ class _GraphResolver:
                     recipe.pop("p_in"), recipe.pop("p_out"),
                     seed=recipe.pop("seed", 0), **recipe,
                 )
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, OverflowError, MemoryError) as exc:
                 raise ValueError(f"{where}: bad 'planted' recipe: {exc}")
         self._cache[key] = graph
         return graph

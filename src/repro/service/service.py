@@ -244,7 +244,6 @@ class JobService:
             "max_levels": spec.max_levels,
             "max_passes_per_level": spec.max_passes_per_level,
             "chunk": spec.chunk,
-            "accumulator": spec.accumulator,
         }
         telemetry = {
             "status": result.status,
@@ -323,7 +322,6 @@ class JobService:
                 max_levels=spec.max_levels,
                 max_passes=spec.max_passes_per_level,
                 chunk=spec.chunk,
-                accumulator=spec.accumulator,
                 pool=pool,
                 deadline=spec.deadline,
                 worker_timeout=spec.worker_timeout,
@@ -371,7 +369,6 @@ class JobService:
                     worker_timeout=spec.worker_timeout,
                     pool=pool,
                     deadline=spec.deadline,
-                    accumulator=spec.accumulator,
                 )
                 result.respawns = r.respawns
             elif spec.engine == "multicore":
@@ -385,7 +382,6 @@ class JobService:
                     max_passes_per_level=spec.max_passes_per_level,
                     chunk=spec.chunk,
                     seed=spec.seed,
-                    accumulator=spec.accumulator,
                 )
             else:  # vectorized (admission already validated the engine)
                 from repro.core.vectorized import run_infomap_vectorized
@@ -396,7 +392,6 @@ class JobService:
                     max_levels=spec.max_levels,
                     max_rounds_per_level=spec.max_passes_per_level,
                     seed=spec.seed,
-                    accumulator=spec.accumulator,
                 )
         except DeadlineExceeded as exc:
             # the pool already restored itself (abort_run inside the

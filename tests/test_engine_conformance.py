@@ -137,12 +137,6 @@ ENGINES = {
         fault_plan=FaultPlan.random(seed=seed, workers=2, faults=2),
         worker_timeout=1.0,
     ),
-    # the real engine under the capacity-bounded accumulation strategy
-    # (repro.core.accumulate): bit-identical to the reduceat default by
-    # contract, so every grid assertion holds unchanged for this column
-    "parallel+bounded": lambda g, seed: run_infomap_parallel(
-        g, workers=2, seed=seed, accumulator="bounded"
-    ),
 }
 
 SEEDS = (0, 1)
@@ -211,27 +205,6 @@ def test_parallel_bit_identical_all_families(family):
     rp = run_infomap_parallel(g, workers=2, seed=3)
     assert np.array_equal(rp.modules, rm.modules)
     assert rp.codelength == rm.codelength
-
-
-@pytest.mark.parametrize("accumulator", ("bounded", "auto"))
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_parallel_bit_identical_to_multicore_under_accumulator(
-    family, accumulator
-):
-    # re-pin the tentpole guarantee under the capacity-bounded
-    # accumulation strategies: same BSP driver, same commit stream, so
-    # the strategy must not perturb simulated-vs-real bit-identity —
-    # and neither run may drift from the reduceat default
-    g, _ = FAMILIES[family](4)
-    rm = run_infomap_multicore(g, num_cores=2, seed=4,
-                               accumulator=accumulator)
-    rp = run_infomap_parallel(g, workers=2, seed=4,
-                              accumulator=accumulator)
-    assert np.array_equal(rp.modules, rm.modules)
-    assert rp.codelength == rm.codelength
-    base = run_infomap_parallel(g, workers=2, seed=4)
-    assert np.array_equal(rp.modules, base.modules)
-    assert rp.codelength == base.codelength
 
 
 def test_parallel_bit_identical_with_chunked_rounds():

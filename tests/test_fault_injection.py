@@ -156,35 +156,6 @@ def test_multi_fault_plan_hits_both_workers():
     assert r.respawns == 3
 
 
-def test_kill_replay_bit_identical_under_bounded_accumulator():
-    # kill-and-replay with accumulator="bounded": the respawned worker
-    # is rebound mid-run, and the recovery rebind must carry the pool's
-    # accumulation strategy — a respawn that silently fell back to
-    # reduceat would still pass (the strategies are bit-identical), so
-    # also check the bounded table actually saw traffic
-    from repro.obs import metrics as obs_metrics
-
-    g, base, barriers = _baseline("undirected")
-    with obs_metrics.scoped_registry() as reg:
-        bounded = run_infomap_parallel(
-            g, workers=WORKERS, seed=SEED, accumulator="bounded"
-        )
-        hits = [m for m in reg.snapshot()["metrics"]
-                if m["name"] == "accum.bounded.hits"]
-    _assert_recovered(bounded, base, ("undirected", "bounded", "clean"))
-    assert hits and hits[0]["value"] > 0
-    for barrier in (0, barriers // 2):
-        r = run_infomap_parallel(
-            g, workers=WORKERS, seed=SEED, accumulator="bounded",
-            fault_plan=FaultPlan(
-                (FaultSpec("kill", worker=barrier % WORKERS,
-                           barrier=barrier),)
-            ),
-            worker_timeout=TIMEOUT,
-        )
-        _assert_recovered(r, base, ("undirected", "bounded+kill", barrier))
-
-
 def test_fault_on_single_worker_pool():
     # workers=1: the whole shard is one worker; killing it must still
     # recover (there is no healthy peer to hide behind)

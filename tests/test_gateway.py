@@ -69,6 +69,20 @@ def _vec_line(graph, seed, **extra):
     return line
 
 
+#: graph sources the resolver cannot build; each must be an invalid line
+_UNBUILDABLE = {
+    "unknown-dataset": {"dataset": "nope"},
+    "vertex-id-past-int64": {"edges": {"arcs": [[0, 2 ** 63]]}},
+    "num-vertices-past-int64": {
+        "edges": {"arcs": [[0, 1]], "num_vertices": 2 ** 63}},
+    "num-vertices-unallocatable": {
+        "edges": {"arcs": [[0, 1]], "num_vertices": 10 ** 12}},
+    "planted-unallocatable": {
+        "planted": {"communities": 10 ** 6, "size": 10 ** 6,
+                    "p_in": 0.1, "p_out": 0.1}},
+}
+
+
 def _by_id(rows):
     return {r["id"]: r for r in rows if "id" in r}
 
@@ -196,19 +210,54 @@ class TestAdmission:
             await client.send({**graph_to_wire(g), "id": "unknownkey",
                                "bogus": 1})
             await client.send(_vec_line(g, 0, id="badtau", tau=7.0))
+            await client.send(_vec_line(g, 0, id="badpriority",
+                                        priority="x"))
+            await client.send({**_vec_line(g, 0, id="accumulator"),
+                               "accumulator": "reduceat"})
             await client.send(_vec_line(g, 0, id="ok"))
             return await client.drain_to_eof()
 
         rows, gw = gw_run(_drive, shards=2)
-        assert len(rows) == 5
+        assert len(rows) == 7
         got = _by_id(rows)
-        for rid in ("nosource", "unknownkey", "badtau"):
+        assert "priority must be an int" in got["badpriority"]["error"]
+        assert "['accumulator']" in got["accumulator"]["error"]
+        for rid in ("nosource", "unknownkey", "badtau", "badpriority",
+                    "accumulator"):
             assert got[rid]["status"] == "rejected"
             assert got[rid]["reject"] == REJECT_INVALID
             assert got[rid]["error"]
         assert got["ok"]["status"] == "completed"
         nojson = [r for r in rows if "id" not in r]
         assert len(nojson) == 1 and "not JSON" in nojson[0]["error"]
+
+    @pytest.mark.parametrize("session", [False, True],
+                             ids=["job", "session-open"])
+    @pytest.mark.parametrize("source", sorted(_UNBUILDABLE))
+    def test_unbuildable_graph_source_keeps_connection(self, source,
+                                                       session):
+        """A graph source the resolver cannot build (unknown dataset,
+        vertex id or count past int64, a size numpy cannot allocate)
+        answers one invalid row, and the next line on the same
+        connection still completes."""
+        g, _ = FAMILIES["undirected"](0)
+        bad = {**_UNBUILDABLE[source], "engine": "vectorized",
+               "workers": 1, "id": "bad"}
+        if session:
+            bad["session"] = "s"
+
+        async def _drive(gw):
+            client = await GatewayClient.connect("127.0.0.1", gw.port)
+            await client.send(bad)
+            await client.send(_vec_line(g, 0, id="ok"))
+            return await client.drain_to_eof()
+
+        rows, _gw = gw_run(_drive, shards=1)
+        assert len(rows) == 2
+        got = _by_id(rows)
+        assert got["bad"]["status"] == "rejected"
+        assert got["bad"]["reject"] == REJECT_INVALID
+        assert got["ok"]["status"] == "completed"
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,17 @@ def test_invalid_spec_rejected_without_poisoning_batch():
     assert "single-rank" in results[1].error
 
 
+@pytest.mark.parametrize("priority", ["x", None, 1.5])
+def test_non_int_priority_is_rejected_not_raised(priority):
+    """priority is the scheduler's heap key: a non-int comes back as a
+    structured rejection instead of escaping the batch as a TypeError."""
+    with JobService() as svc:
+        (r,) = svc.run_batch([JobSpec(graph=_graph(), engine="vectorized",
+                                      workers=1, priority=priority)])
+    assert r.status == STATUS_REJECTED
+    assert "priority must be an int" in r.error
+
+
 def test_cancel_queued_job_before_drain():
     g = _graph()
     with JobService() as svc:
@@ -311,6 +322,39 @@ def test_malformed_delta_line_fails_fast_with_line_number(
     with pytest.raises(ValueError) as exc:
         load_jobs(path)
     assert f"{path}:1" in str(exc.value)
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ('"dataset": "nope"', "unknown dataset 'nope'"),
+        ('"edges": {"arcs": [[0, 9223372036854775808]]}',
+         "bad 'edges' graph"),
+        ('"edges": {"arcs": [[0, 1]], "num_vertices": 9223372036854775808}',
+         "bad 'edges' graph"),
+        ('"edges": {"arcs": [[0, 1]], "num_vertices": 1000000000000}',
+         "bad 'edges' graph"),
+        ('"planted": {"communities": 1000000, "size": 1000000, '
+         '"p_in": 0.1, "p_out": 0.1}', "bad 'planted' recipe"),
+        ('"dataset": "amazon", "accumulator": "reduceat"',
+         "unknown key(s) ['accumulator']"),
+    ],
+    ids=["unknown-dataset", "vertex-id-past-int64",
+         "num-vertices-past-int64", "num-vertices-unallocatable",
+         "planted-unallocatable", "accumulator-key"],
+)
+def test_bad_jobs_line_fails_with_line_number(tmp_path, source, message):
+    """A graph source that cannot be built, or a key JobSpec does not
+    have, is a file-level ValueError naming path:lineno."""
+    path = tmp_path / "jobs.jsonl"
+    path.write_text(
+        "# one bad line\n"
+        '{%s, "engine": "vectorized", "workers": 1}\n' % source
+    )
+    with pytest.raises(ValueError) as exc:
+        load_jobs(str(path))
+    assert f"{path}:2" in str(exc.value)
     assert message in str(exc.value)
 
 
@@ -622,6 +666,19 @@ def test_cli_serve_rejects_malformed_file(tmp_path, capsys):
 
     missing = tmp_path / "nope.jsonl"
     assert main(["serve", "--jobs", str(missing)]) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "submit"])
+def test_cli_has_no_accumulator_flag(tmp_path, capsys, command):
+    from repro.cli import main
+
+    source = (["--edge-list", str(tmp_path / "g.txt")] if command == "run"
+              else ["--jobs", str(tmp_path / "j.jsonl"),
+                    "--planted", _PLANTED])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *source, "--accumulator", "reduceat"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --accumulator" in capsys.readouterr().err
 
 
 def test_cli_submit_delta_then_serve_roundtrip(tmp_path, capsys):

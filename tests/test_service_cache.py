@@ -12,8 +12,9 @@ network.  Hypothesis drives both directions over adversarial edge lists
   collision direction — a digest that ignored weights would serve the
   wrong partition from the cache).
 
-The bytes are pinned too: golden digests of three fixed graphs, and on
-every canonical graph the hash taken straight from the arrays equals
+The bytes are pinned too: golden digests of three fixed graphs, golden
+cache keys (graph digest plus params hash) for a plain and a delta
+spec on one of them, and on every canonical graph the hash taken straight from the arrays equals
 the lexsort-and-coalesce reference and
 :func:`~repro.graph.stream.streamed_digest`; a non-canonical CSR
 digests as its canonical rebuild.  A refactor cannot silently re-key
@@ -44,6 +45,7 @@ from repro.graph.generators import planted_partition
 from repro.graph.stream import streamed_digest
 from repro.service import JobService, JobSpec, ResultCache
 from repro.service.cache import CacheEntry, cache_key, graph_digest
+from repro.service.delta import Delta
 
 from tests.strategies import (edge_lists, hand_built_csrs, seeds,
                               weighted_graphs)
@@ -246,6 +248,31 @@ def test_cache_key_ignores_serving_params(change):
 def test_cache_key_equality_tracks_seed_equality(seed_a, seed_b):
     same = cache_key(_spec(seed=seed_a)) == cache_key(_spec(seed=seed_b))
     assert same == (seed_a == seed_b)
+
+
+#: (spec, its key under params/v3) on the "planted" golden graph — a
+#: change here re-keys every cache entry, so rendezvous routing and
+#: every warm-start base_key move with it
+GOLDEN_KEYS = {
+    "plain": (
+        lambda: _spec(),
+        "a5e9a5d91b675ff033c5bcdbd4b931c8eed3224a8517a4990209be17a5d59b8b"
+        "/f5260fa41e3561f96b97b923fa7a9d8c0e5df72dca1f4d5ae7057baeb68e3c60",
+    ),
+    "delta": (
+        lambda: _spec(delta=Delta.from_json([["add", 0, 29, 2.0],
+                                             ["remove", 0, 1]])),
+        "a5e9a5d91b675ff033c5bcdbd4b931c8eed3224a8517a4990209be17a5d59b8b"
+        "+2476d5ec993b0eaafc69a6e09a21ee111f8e68004568c7f946aedcce40e0357b"
+        "/6f86945684949434d70b361891d1ed4d5858a2163c93f3a6802b78d1d73d6145",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_KEYS))
+def test_cache_key_bytes_are_pinned(name):
+    make, golden = GOLDEN_KEYS[name]
+    assert cache_key(make()) == golden
 
 
 # ---------------------------------------------------------------------------
