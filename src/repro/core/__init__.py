@@ -17,16 +17,16 @@ Engines:
   accounting) by default, or the batched numpy fast path via
   ``engine="vectorized"``;
 * :func:`repro.core.vectorized.run_infomap_vectorized` — the batched
-  engine behind ``engine="vectorized"``: whole-sweep segment-sum
-  accumulation with a reusable :class:`~repro.core.vectorized.Workspace`
-  (no hardware accounting);
+  engine behind ``engine="vectorized"``: the shared BSP schedule on one
+  in-process shard, with whole-sweep segment-sum accumulation
+  (:class:`~repro.core.vectorized.Workspace`, no hardware accounting);
 * :func:`repro.core.multicore.run_infomap_multicore` — the HyPC-Map-style
   simulated multicore engine behind Figs 7/9/10/11;
 * :func:`repro.core.parallel.run_infomap_parallel` — the real
   process-parallel engine (multiprocessing + shared-memory arenas),
   bit-identical to the simulated engine at equal worker count/seed.
 
-The two multicore engines share one deterministic barrier-synchronous
+The three batched engines share one deterministic barrier-synchronous
 schedule, :mod:`repro.core.bsp` (propose per shard, commit behind the
 barrier) — only where the propose executes differs.
 """

@@ -1,7 +1,8 @@
 """Shared barrier-synchronous (BSP) Infomap schedule.
 
-The simulated multicore engine (:mod:`repro.core.multicore`) and the real
-process-parallel engine (:mod:`repro.core.parallel`) execute the *same*
+Every batched engine — ``vectorized`` (one in-process shard),
+``multicore`` (``P`` simulated cores) and ``parallel`` (``P`` real worker
+processes), cold runs and warm refreshes alike — executes the *same*
 deterministic two-phase schedule, defined once here:
 
 1. **propose** — vertices are sharded across ``P`` cores by arc count
@@ -9,21 +10,26 @@ deterministic two-phase schedule, defined once here:
    move of every vertex in its shard against the snapshot of module state
    taken at the start of the round, using the shard-restricted batched
    sweep (:meth:`repro.core.vectorized.Workspace.best_moves` with
-   ``verts=``).  Where that computation *executes* — in-process on
-   simulated cores, or on real worker processes over shared memory — is
-   the only thing an engine supplies.
+   ``verts=``).  Where that computation *executes* — in-process
+   (:class:`InprocessSweep`), in-process on simulated cores with
+   per-core accounting, or on real worker processes over shared memory
+   — is the only thing an engine supplies.
 2. **commit** — the driver merges proposals in core order behind a
    barrier: apply all of them at once, recompute module state, accept if
    the codelength improved, otherwise deterministically halve the move
-   set with the seeded RNG and retry (:func:`commit_proposals`, the same
-   conflict-backoff rule the vectorized engine uses).
+   set with the seeded RNG and retry (:func:`commit_proposals`).
+
+After a level's first pass only the movers and their neighbours are
+revisited (:func:`active_neighborhood`), HyPC-Map's active-vertex
+worklist.
 
 Because every quantity that feeds a decision — shard boundaries, snapshot
 state, proposal math, merge order, backoff RNG stream — lives in this
 module and is a pure function of ``(graph, num_cores, seed, chunk)``, two
 engines running this schedule produce **bit-identical partitions** at
 equal core counts and seeds.  ``tests/test_engine_conformance.py``
-enforces exactly that for ``parallel(P=k)`` vs ``multicore(P=k)``.
+enforces exactly that for ``parallel(P=k)`` vs ``multicore(P=k)``, and
+for ``vectorized`` vs both at ``P=1``.
 
 Engines participate through a :class:`ProposeBackend`: the multicore
 engine adds a per-core hardware-accounting sweep (the paper's simulated
@@ -52,6 +58,7 @@ from repro.util.rng import make_rng
 
 __all__ = [
     "ProposeBackend",
+    "InprocessSweep",
     "BSPOutcome",
     "BSPPassRecord",
     "edge_balanced_blocks",
@@ -62,7 +69,7 @@ __all__ = [
 ]
 
 #: commit retries: halve the proposal set at most this many times before
-#: declaring the round a wash (same constant as the vectorized engine)
+#: declaring the round a wash
 BACKOFF_TRIES = 6
 
 
@@ -94,20 +101,19 @@ def active_neighborhood(
     """Vertices to revisit next pass: movers plus their neighbourhoods.
 
     Vectorized equivalent of the sequential engine's ``_active_set`` (one
-    arc-mask instead of a per-mover Python loop), shared by both BSP
-    engines so their worklists are identical.
+    arc-mask instead of a per-mover Python loop), shared by every BSP
+    engine so their worklists are identical.  Returns the sorted vertex
+    ids.  Directed networks also revisit the movers' in-neighbours (the
+    sources of arcs into a mover).
     """
-    if len(moved) == 0:
-        return np.empty(0, dtype=np.int64)
     flags = np.zeros(net.num_vertices, dtype=bool)
     flags[moved] = True
-    parts = [moved, ws.dst_all[flags[ws.src_all]]]
-    if net.directed:
-        t_src = np.repeat(
-            np.arange(net.num_vertices, dtype=np.int64), np.diff(net.t_indptr)
-        )
-        parts.append(net.t_indices[flags[t_src]])
-    return np.unique(np.concatenate(parts))
+    out_nbrs = ws.dst_all[flags[ws.src_all]]
+    in_nbrs = ws.src_all[flags[ws.dst_all]] if net.directed else None
+    flags[out_nbrs] = True
+    if in_nbrs is not None:
+        flags[in_nbrs] = True
+    return np.flatnonzero(flags)
 
 
 def split_active_by_block(
@@ -270,6 +276,31 @@ class ProposeBackend:
 
     def close(self) -> None:
         pass
+
+
+class InprocessSweep(ProposeBackend):
+    """The in-process one-shard backend: the batched sweep, no accounting.
+
+    What ``engine="vectorized"`` means, cold or warm: the propose the
+    simulated-multicore backend computes at ``P=1`` (via the driver's
+    own :class:`~repro.core.vectorized.Workspace`, reused across passes
+    and levels), minus its hardware accounting.
+    """
+
+    engine = "vectorized"
+
+    def __init__(self) -> None:
+        self.ws: Workspace | None = None
+
+    def begin_level(self, net, level, blocks, ws) -> None:
+        self.ws = ws
+
+    def propose(self, shards, module, enter, exit_, flow):
+        ((_core, shard),) = shards  # one shard: the engine runs at P=1
+        verts, targets, _ = self.ws.best_moves(
+            module, enter, exit_, flow, verts=shard
+        )
+        return verts, targets
 
 
 @dataclass(frozen=True)

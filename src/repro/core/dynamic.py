@@ -33,8 +33,10 @@ cores, ``"parallel"`` on ``P`` real worker processes
 
 When the frontier exceeds ``full_rerun_threshold * num_vertices`` the
 warm start stops paying (most of the graph would be re-swept anyway,
-plus the multilevel fall-through) and the refresh falls back to the
-engine's standard from-scratch run — the measured ``full_rerun`` policy.
+plus the multilevel fall-through) and the refresh falls back to a
+from-scratch run — the measured ``full_rerun`` policy.  That rerun is
+the same engine call without the two warm-start inputs, i.e. the
+engine's cold schedule.
 Each refresh publishes ``dynamic.touched_vertices`` /
 ``dynamic.frontier_share`` / ``dynamic.full_reruns`` to the metrics
 registry and appends a ``kind="dynamic"`` row to the armed run ledger.
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.bsp import ProposeBackend, run_bsp_infomap
+from repro.core.bsp import InprocessSweep, run_bsp_infomap
 from repro.graph.build import from_edge_array
 from repro.graph.csr import CSRGraph
 from repro.obs import ledger as obs_ledger
@@ -94,39 +96,6 @@ class RefreshResult:
     seconds: float = 0.0
 
 
-class _InprocessSweep(ProposeBackend):
-    """Minimal BSP backend: the batched sweep, in-process, no accounting.
-
-    What ``engine="vectorized"`` means for a warm refresh — the same
-    propose the simulated-multicore backend computes (via the driver's
-    own :class:`~repro.core.vectorized.Workspace`), minus its per-core
-    hardware accounting, on a single shard.
-    """
-
-    engine = "vectorized"
-
-    def __init__(self) -> None:
-        self.ws = None
-
-    def begin_level(self, net, level, blocks, ws) -> None:
-        self.ws = ws
-
-    def propose(self, shards, module, enter, exit_, flow):
-        verts_parts: list[np.ndarray] = []
-        targ_parts: list[np.ndarray] = []
-        for _p, shard in shards:
-            if len(shard) == 0:
-                continue
-            v, t, _ = self.ws.best_moves(
-                module, enter, exit_, flow, verts=shard
-            )
-            verts_parts.append(v)
-            targ_parts.append(t)
-        if not verts_parts:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        return np.concatenate(verts_parts), np.concatenate(targ_parts)
-
-
 def dirty_frontier(graph: CSRGraph, dirty: np.ndarray) -> np.ndarray:
     """Dirty vertices plus every vertex sharing an arc with one.
 
@@ -145,7 +114,9 @@ def dirty_frontier(graph: CSRGraph, dirty: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate([dirty, dst[flags[src]], src[flags[dst]]]))
 
 
-def _validate_refresh_params(engine: str, workers: int) -> None:
+def _validate_refresh_params(
+    engine: str, workers: int, chunk: int | None
+) -> None:
     if engine not in DYNAMIC_ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}: choose from {DYNAMIC_ENGINES}"
@@ -155,6 +126,10 @@ def _validate_refresh_params(engine: str, workers: int) -> None:
     if engine == "vectorized" and workers != 1:
         raise ValueError(
             "engine 'vectorized' is single-rank: workers must be 1"
+        )
+    if engine == "vectorized" and chunk is not None:
+        raise ValueError(
+            "engine 'vectorized' is single-rank: chunk must be None"
         )
 
 
@@ -197,7 +172,7 @@ def warm_refresh(
         (``engine="parallel"`` only) — how the serving layer runs
         refreshes on its warm worker pools.
     """
-    _validate_refresh_params(engine, workers)
+    _validate_refresh_params(engine, workers, chunk)
     if not (0.0 < full_rerun_threshold <= 1.0):
         raise ValueError("full_rerun_threshold must be in (0, 1]")
     n = graph.num_vertices
@@ -218,10 +193,7 @@ def warm_refresh(
 
     t0 = time.perf_counter()
     if full:
-        r = _run_full(
-            graph, engine, workers, seed, tau, max_levels, max_passes,
-            chunk, pool, deadline, worker_timeout,
-        )
+        seeded = frontier = None
         touched = n
     else:
         # re-seed dirty vertices as provisional singletons, densify
@@ -230,11 +202,11 @@ def warm_refresh(
         seeded[dirty] = n + np.arange(len(dirty), dtype=np.int64)
         _, seeded = np.unique(seeded, return_inverse=True)
         seeded = seeded.astype(np.int64)
-        r = _run_warm(
-            graph, seeded, frontier, engine, workers, seed, tau,
-            max_levels, max_passes, chunk, pool, deadline, worker_timeout,
-        )
         touched = len(frontier)
+    r = _run(
+        graph, engine, workers, seed, tau, max_levels, max_passes, chunk,
+        pool, deadline, worker_timeout, seeded, frontier,
+    )
     seconds = time.perf_counter() - t0
 
     result = RefreshResult(
@@ -255,11 +227,13 @@ def warm_refresh(
     return result
 
 
-def _run_full(
+def _run(
     graph, engine, workers, seed, tau, max_levels, max_passes, chunk,
-    pool, deadline, worker_timeout,
+    pool, deadline, worker_timeout, init_module, init_active,
 ):
-    """The engine's standard from-scratch run (the fallback policy)."""
+    """One BSP run on ``engine``: warm-started from ``init_module`` /
+    ``init_active``, or the engine's cold schedule when both are
+    ``None`` (the full-rerun fallback)."""
     if engine == "parallel":
         from repro.core.parallel import run_infomap_parallel
 
@@ -267,6 +241,7 @@ def _run_full(
             graph, workers=workers, tau=tau, max_levels=max_levels,
             max_passes_per_level=max_passes, seed=seed, chunk=chunk,
             pool=pool, deadline=deadline, worker_timeout=worker_timeout,
+            init_module=init_module, init_active=init_active,
         )
     if engine == "multicore":
         from repro.core.multicore import run_infomap_multicore
@@ -274,41 +249,12 @@ def _run_full(
         return run_infomap_multicore(
             graph, num_cores=workers, tau=tau, max_levels=max_levels,
             max_passes_per_level=max_passes, chunk=chunk, seed=seed,
-        )
-    from repro.core.vectorized import run_infomap_vectorized
-
-    return run_infomap_vectorized(
-        graph, tau=tau, max_levels=max_levels,
-        max_rounds_per_level=max_passes, seed=seed,
-    )
-
-
-def _run_warm(
-    graph, seeded, frontier, engine, workers, seed, tau, max_levels,
-    max_passes, chunk, pool, deadline, worker_timeout,
-):
-    """The warm-started BSP run (identical partition on every engine)."""
-    if engine == "parallel":
-        from repro.core.parallel import run_infomap_parallel
-
-        return run_infomap_parallel(
-            graph, workers=workers, tau=tau, max_levels=max_levels,
-            max_passes_per_level=max_passes, seed=seed, chunk=chunk,
-            pool=pool, deadline=deadline, worker_timeout=worker_timeout,
-            init_module=seeded, init_active=frontier,
-        )
-    if engine == "multicore":
-        from repro.core.multicore import run_infomap_multicore
-
-        return run_infomap_multicore(
-            graph, num_cores=workers, tau=tau, max_levels=max_levels,
-            max_passes_per_level=max_passes, chunk=chunk, seed=seed,
-            init_module=seeded, init_active=frontier,
+            init_module=init_module, init_active=init_active,
         )
     return run_bsp_infomap(
-        graph, _InprocessSweep(), 1, seed=seed, tau=tau,
+        graph, InprocessSweep(), 1, seed=seed, tau=tau,
         max_levels=max_levels, max_passes_per_level=max_passes,
-        chunk=chunk, init_module=seeded, init_active=frontier,
+        init_module=init_module, init_active=init_active,
     )
 
 
@@ -392,7 +338,7 @@ class DynamicCommunities:
     ):
         if num_vertices <= 0:
             raise ValueError("num_vertices must be positive")
-        _validate_refresh_params(engine, workers)
+        _validate_refresh_params(engine, workers, chunk)
         if not (0.0 < full_rerun_threshold <= 1.0):
             raise ValueError("full_rerun_threshold must be in (0, 1]")
         self.num_vertices = num_vertices

@@ -157,10 +157,13 @@ def run_infomap(
         with full hardware accounting and returns an
         :class:`InfomapResult`.  ``"vectorized"`` dispatches to the
         batched numpy fast path
-        (:func:`repro.core.vectorized.run_infomap_vectorized`) and
-        returns a :class:`~repro.core.vectorized.VectorizedResult` — no
-        hardware accounting, but 1–2 orders of magnitude faster wall
-        clock, which is what the CLI and harness want on large graphs.
+        (:func:`repro.core.vectorized.run_infomap_vectorized`: the
+        ``multicore``/``parallel`` barrier-synchronous schedule on one
+        in-process shard, at its own default of 30 passes per level,
+        not ``max_passes_per_level``) and returns a
+        :class:`~repro.core.vectorized.VectorizedResult` — no hardware
+        accounting, but 1–2 orders of magnitude faster wall clock,
+        which is what the CLI and harness want on large graphs.
         ``"multicore"`` runs the HyPC-Map-style engine on ``workers``
         *simulated* cores with per-core hardware accounting
         (:func:`repro.core.multicore.run_infomap_multicore`, a

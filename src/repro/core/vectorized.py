@@ -4,14 +4,18 @@ Pure-numpy engine for running Infomap at scales where the instrumented
 per-operation engine would be too slow (quality studies, the LFR sweep,
 examples on 100k+ edge graphs).
 
-Each round evaluates the best move of *every* vertex against the current
-partition simultaneously (vectorized over all (vertex, candidate-module)
-pairs) and applies all improving moves at once — the batch-synchronous
-relaxation that parallel Infomap implementations (GossipMap, HyPC-Map) use
-across workers.  Because simultaneous moves can conflict, the engine
-recomputes the true codelength after applying and backs off (random halving
-of the move set) if the batch made things worse; this guarantees monotone
-codelength improvement and hence termination.
+The engine runs the shared barrier-synchronous schedule of
+:mod:`repro.core.bsp` on one in-process shard: each pass evaluates the
+best move of every vertex on the worklist against the current partition
+simultaneously (vectorized over all (vertex, candidate-module) pairs) and
+applies all improving moves at once — the batch-synchronous relaxation
+that parallel Infomap implementations (GossipMap, HyPC-Map) use across
+workers.  After a level's first pass only movers and their neighbours are
+revisited.  Conflicting simultaneous moves are resolved by the schedule's
+commit (:func:`repro.core.bsp.commit_proposals`), which backs off by
+seeded random halving of the move set whenever the batch does not improve
+the codelength; this guarantees monotone codelength improvement and hence
+termination.
 
 Batched hot-path formulation
 ----------------------------
@@ -47,26 +51,15 @@ gates the speedup of batched over reference.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.flow import FlowNetwork
-from repro.core.mapequation import MapEquation
-from repro.core.supernode import convert_to_supernodes
 from repro.graph.csr import CSRGraph
-from repro.obs.logging import get_logger
 from repro.obs.spans import trace_span
-from repro.obs.telemetry import (
-    ConvergenceTelemetry,
-    TelemetryRecorder,
-    publish_run_metrics,
-)
+from repro.obs.telemetry import ConvergenceTelemetry
 from repro.util.entropy import plogp_array, plogp, plogp_unchecked
-from repro.util.rng import make_rng
-
-log = get_logger("core.vectorized")
 
 __all__ = ["run_infomap_vectorized", "VectorizedResult", "Workspace"]
 
@@ -102,12 +95,12 @@ class VectorizedResult:
 class Workspace:
     """Reusable scratch for the batched hot path.
 
-    One Workspace serves a whole multilevel run (and can be passed to
-    :func:`run_infomap_vectorized` to serve *many* runs, e.g. a
-    parameter sweep over same-scale graphs).  Invariants:
+    One Workspace serves a whole multilevel run of the BSP driver
+    (:func:`repro.core.bsp.run_bsp_infomap`), across all its passes and
+    levels.  Invariants:
 
     * :meth:`bind` must be called whenever the hot path moves to a new
-      :class:`~repro.core.flow.FlowNetwork` (each level, or a new run).
+      :class:`~repro.core.flow.FlowNetwork` (each level, or a new graph).
       It derives the level-constant arc-pair arrays (non-loop sources,
       destinations, flows — directed networks interleave the transpose
       arcs with zero-filled complementary weight columns).
@@ -224,22 +217,27 @@ class Workspace:
 
         When ``verts`` is given, only pairs whose source vertex is in
         ``verts`` are evaluated — the shard-restricted sweep the
-        barrier-synchronous engines (``multicore``, ``parallel``) run per
-        core.  Per-vertex results are independent of the restriction
-        (grouping, segment sums, and the argmin are all per-vertex, and
-        the stable sort preserves relative pair order), so the restricted
-        sweep returns exactly the full sweep's rows filtered to ``verts``
-        — ``tests/test_engine_conformance.py`` pins this.
+        barrier-synchronous engines run per core.  Per-vertex results
+        are independent of the restriction (grouping, segment sums, and
+        the argmin are all per-vertex, and the stable sort preserves
+        relative pair order), so the restricted sweep returns exactly the
+        full sweep's rows filtered to ``verts`` —
+        ``tests/test_engine_conformance.py`` pins this.  A ``verts`` that
+        holds every vertex (a one-shard engine's first pass of a level)
+        therefore runs as the full sweep, skipping the gathers.
         """
         net = self.net
         n = self.n
+        if verts is not None:
+            flags = self._buf("bm_flags", n, bool)
+            flags.fill(False)
+            flags[verts] = True
+            if flags.all():
+                verts = None
         if verts is None:
             pair_src, pair_dst = self.pair_src, self.pair_dst
             w_out_all, w_in_all = self.pair_w_out, self.pair_w_in
         else:
-            flags = self._buf("bm_flags", n, bool)
-            flags.fill(False)
-            flags[verts] = True
             sel_idx = np.flatnonzero(flags[self.pair_src])
             m = len(sel_idx)
             pair_src = np.take(
@@ -527,91 +525,25 @@ def _best_moves(
     return verts[improving], targets[improving], deltas[improving]
 
 
-def _one_level(
-    net: FlowNetwork,
-    max_rounds: int,
-    rng: np.random.Generator,
-    recorder: "TelemetryRecorder | None" = None,
-    level: int = 0,
-    flat_offset: float = 0.0,
-    workspace: Workspace | None = None,
-) -> tuple[np.ndarray, int, float, int]:
-    """Batch-synchronous local-move rounds at one level.
-
-    Returns ``(module, num_modules, codelength, rounds)``.  When a
-    :class:`~repro.obs.telemetry.TelemetryRecorder` is given, each round
-    is recorded as one pass (``flat_offset`` converts level-local
-    codelengths to flat level-0 bits).  ``workspace`` carries the batched
-    hot path's scratch; one is created (and bound to ``net``) when not
-    given, but callers looping over levels should pass a single instance.
-    """
-    ws = workspace if workspace is not None else Workspace().bind(net)
-    if ws.net is not net:
-        ws.bind(net)
-    n = net.num_vertices
-    module = np.arange(n, dtype=np.int64)
-    enter, exit_, flow = ws.module_state(module, n)
-    length = MapEquation.codelength(enter, exit_, flow, net.node_flow)
-
-    rounds = 0
-    for _ in range(max_rounds):
-        rounds += 1
-        wall0 = time.perf_counter()
-        applied = 0
-        with trace_span("findbest", level=level, pass_=rounds - 1):
-            verts, targets, _deltas = ws.best_moves(module, enter, exit_, flow)
-            stop = len(verts) == 0
-            improved = False
-            if not stop:
-                accepted = np.ones(len(verts), dtype=bool)
-                for _backoff in range(6):
-                    trial = module.copy()
-                    trial[verts[accepted]] = targets[accepted]
-                    e2, x2, f2 = ws.module_state(trial, n)
-                    l2 = MapEquation.codelength(e2, x2, f2, net.node_flow)
-                    if l2 < length - MIN_IMPROVEMENT:
-                        module, enter, exit_, flow, length = trial, e2, x2, f2, l2
-                        improved = True
-                        applied = int(np.count_nonzero(accepted))
-                        break
-                    # conflicting simultaneous moves: keep a random half and retry
-                    keep = rng.random(len(verts)) < 0.5
-                    accepted &= keep
-                    if not np.any(accepted):
-                        break
-        if recorder is not None:
-            wall = time.perf_counter() - wall0
-            recorder.record_kernel("findbest", wall)
-            recorder.record_pass(
-                level=level,
-                pass_in_level=rounds - 1,
-                active_vertices=n,
-                moves=applied,
-                num_modules=ws.num_modules(module),
-                codelength=length + flat_offset,
-                wall_seconds=wall,
-            )
-        if stop or not improved:
-            break
-    uniq, dense = np.unique(module, return_inverse=True)
-    return dense.astype(np.int64), len(uniq), length, rounds
-
-
 def run_infomap_vectorized(
     graph: CSRGraph,
     tau: float = 0.15,
     max_levels: int = 20,
-    max_rounds_per_level: int = 30,
+    max_passes_per_level: int = 30,
     seed: int = 0,
-    workspace: Workspace | None = None,
 ) -> VectorizedResult:
-    """Run the batch-synchronous multilevel Infomap.
+    """Run the batch-synchronous multilevel Infomap in-process.
 
-    Functionally equivalent objective to :func:`repro.core.infomap.run_infomap`
-    (both minimize the same map equation); move schedules differ, so the
-    found partitions can differ slightly — tests check codelengths agree
-    within a few percent on structured graphs.  Callers wanting one entry
-    point can use ``run_infomap(graph, engine="vectorized")``.
+    One run of the shared BSP schedule
+    (:func:`repro.core.bsp.run_bsp_infomap`) on a single in-process shard
+    (:class:`repro.core.bsp.InprocessSweep`): the same worklist and
+    commit as ``multicore``/``parallel``, so at equal passes and seed it
+    is bit-identical to both at one core/worker.  Functionally equivalent
+    objective to :func:`repro.core.infomap.run_infomap` (both minimize
+    the same map equation); move schedules differ, so the found
+    partitions can differ slightly — tests check codelengths agree within
+    a few percent on structured graphs.  Callers wanting one entry point
+    can use ``run_infomap(graph, engine="vectorized")``.
 
     Parameters
     ----------
@@ -619,72 +551,26 @@ def run_infomap_vectorized(
         Input network (directed or undirected, optionally weighted).
     tau:
         Teleportation probability for the PageRank kernel.
-    max_levels, max_rounds_per_level:
+    max_levels, max_passes_per_level:
         Multilevel schedule caps.
     seed:
         Seed for the conflict-backoff RNG (results are deterministic for
         a fixed seed).
-    workspace:
-        Optional :class:`Workspace` to reuse across runs; by default each
-        run owns one (it is still reused across all passes and levels
-        within the run).
     """
-    rng = make_rng(seed)
-    ws = workspace if workspace is not None else Workspace()
-    recorder = TelemetryRecorder("vectorized")
+    # bsp imports this module's Workspace, so it is imported here
+    from repro.core.bsp import InprocessSweep, run_bsp_infomap
+
     with trace_span("infomap.run", engine="vectorized"):
-        with trace_span("pagerank", vertices=graph.num_vertices), \
-                recorder.kernel("pagerank"):
-            net = FlowNetwork.from_graph(graph, tau=tau)
-        one_level = MapEquation.one_level_codelength(net.node_flow)
-        # level-0 node-visit term: converts supernode-level codelengths to
-        # true flat-partition codelengths
-        node_flow_log0 = -one_level
-        n0 = graph.num_vertices
-        mapping = np.arange(n0, dtype=np.int64)
-
-        total_rounds = 0
-        levels = 0
-        length = one_level
-        converged = False
-        for level in range(max_levels):
-            levels = level + 1
-            ws.bind(net)
-            recorder.begin_level(level, net.num_vertices)
-            node_flow_log_level = float(plogp_array(net.node_flow).sum())
-            dense, k, level_length, rounds = _one_level(
-                net,
-                max_rounds_per_level,
-                rng,
-                recorder=recorder,
-                level=level,
-                flat_offset=node_flow_log_level - node_flow_log0,
-                workspace=ws,
-            )
-            length = level_length + node_flow_log_level - node_flow_log0
-            total_rounds += rounds
-            recorder.end_level(k, length)
-            log.debug(
-                "level %d: %d -> %d modules, L=%.4f bits after %d rounds",
-                level, net.num_vertices, k, length, rounds,
-            )
-            if k == net.num_vertices:
-                converged = True
-                break
-            mapping = dense[mapping]
-            with trace_span("convert2supernode", level=level, modules=k), \
-                    recorder.kernel("convert2supernode"):
-                net = convert_to_supernodes(net, dense, k, src=ws.src_all)
-
-    telemetry = recorder.finish(converged)
-    publish_run_metrics(telemetry)
-    uniq, final = np.unique(mapping, return_inverse=True)
+        out = run_bsp_infomap(
+            graph, InprocessSweep(), 1, seed=seed, tau=tau,
+            max_levels=max_levels, max_passes_per_level=max_passes_per_level,
+        )
     return VectorizedResult(
-        modules=final.astype(np.int64),
-        num_modules=len(uniq),
-        codelength=length,
-        one_level_codelength=one_level,
-        levels=levels,
-        rounds=total_rounds,
-        telemetry=telemetry,
+        modules=out.modules,
+        num_modules=out.num_modules,
+        codelength=out.codelength,
+        one_level_codelength=out.one_level_codelength,
+        levels=out.levels,
+        rounds=len(out.passes),
+        telemetry=out.telemetry,
     )

@@ -111,6 +111,10 @@ class JobSpec:
             raise ValueError(
                 "engine 'vectorized' is single-rank: workers must be 1"
             )
+        if self.engine == "vectorized" and self.chunk is not None:
+            raise ValueError(
+                "engine 'vectorized' is single-rank: chunk must be None"
+            )
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValueError("seed must be an int")
         if not isinstance(self.priority, int) \

@@ -390,7 +390,7 @@ class JobService:
                     spec.graph,
                     tau=spec.tau,
                     max_levels=spec.max_levels,
-                    max_rounds_per_level=spec.max_passes_per_level,
+                    max_passes_per_level=spec.max_passes_per_level,
                     seed=spec.seed,
                 )
         except DeadlineExceeded as exc:

@@ -66,6 +66,23 @@ def test_detects_missing_catalog_row(check_docs, tmp_path, monkeypatch, capsys):
     assert "parallel.rounds" in err and "missing from the docs" in err
 
 
+def test_detects_stale_unprefixed_span_row(check_docs, tmp_path,
+                                           monkeypatch, capsys):
+    # every name is under contract, not only the service/engine prefixes
+    stale = tmp_path / "observability.md"
+    pagerank_row = "| `pagerank` | flow initialisation | `vertices` |\n"
+    text = check_docs.DOC.read_text()
+    assert pagerank_row in text
+    stale.write_text(text.replace(
+        pagerank_row,
+        pagerank_row + "| `levelsweep` | no emitter | `level` |\n",
+    ))
+    monkeypatch.setattr(check_docs, "DOC", stale)
+    assert check_docs.main([]) == 1
+    err = capsys.readouterr().err
+    assert "levelsweep" in err and "no longer emitted" in err
+
+
 def test_unknown_dynamic_metric_name_is_an_error(check_docs, monkeypatch,
                                                  capsys):
     monkeypatch.setattr(check_docs, "_FSTRING_EXPANSIONS", {})

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.dynamic import DynamicCommunities
+from repro.core.dynamic import DynamicCommunities, warm_refresh
 from repro.core.infomap import run_infomap
 from repro.core.partition import Partition
 from repro.core.flow import FlowNetwork
@@ -108,8 +108,13 @@ class TestDynamicBasics:
             DynamicCommunities(4, engine="sequential")
         with pytest.raises(ValueError):
             DynamicCommunities(4, engine="vectorized", workers=2)
+        with pytest.raises(ValueError, match="single-rank"):
+            DynamicCommunities(4, engine="vectorized", chunk=3)
         with pytest.raises(ValueError):
             DynamicCommunities(4, full_rerun_threshold=0.0)
+        g, truth = ring_of_cliques(3, 4)
+        with pytest.raises(ValueError, match="single-rank"):
+            warm_refresh(g, truth, [0], engine="vectorized", chunk=3)
 
 
 class TestIncrementalRefresh:

@@ -7,7 +7,7 @@ equation over the same flow model:
 engine                  schedule
 ======================  ===============================================
 ``sequential``          per-vertex greedy, immediate apply, hw counters
-``vectorized``          batch-synchronous numpy sweep (single rank)
+``vectorized``          the BSP schedule on one in-process shard
 ``multicore``           BSP propose/commit on P *simulated* cores
 ``parallel``            same BSP schedule on P *real* processes
 ``parallel+faultplan``  ``parallel`` under seeded injected worker
@@ -18,11 +18,14 @@ engine                  schedule
 This suite pins the contract between them:
 
 * every engine's codelength agrees within a small factor on each graph
-  family (undirected / directed / weighted / pathological);
+  family (undirected / directed / weighted / pathological), and equals
+  the map equation recomputed from the returned partition on the
+  original graph (an oracle independent of each engine's own
+  bookkeeping);
 * every engine recovers planted community structure (NMI / ARI floors);
 * ``parallel(P=k)`` is **bit-identical** to ``multicore(P=k)`` at the
-  same seed — the two backends share the driver in
-  :mod:`repro.core.bsp`, so any divergence is a real bug;
+  same seed, and ``vectorized`` to both at ``P=1`` — the backends share
+  the driver in :mod:`repro.core.bsp`, so any divergence is a real bug;
 * the shard-restricted sweep ``Workspace.best_moves(verts=...)`` equals
   the full sweep filtered to the shard (the property the BSP engines'
   correctness rests on);
@@ -49,6 +52,7 @@ from repro.quality.ari import adjusted_rand_index
 from repro.quality.nmi import normalized_mutual_information
 
 from tests.strategies import small_seeds
+from tests.test_property_invariants import _partition_codelength
 
 # ---------------------------------------------------------------------------
 # graph families
@@ -155,12 +159,17 @@ def _results(family, seed):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_engines_agree_on_codelength(family, seed):
     results, g, _ = _results(family, seed)
+    net = FlowNetwork.from_graph(g)
     lengths = {name: r.codelength for name, r in results.items()}
     for name, r in results.items():
         assert np.isfinite(r.codelength), name
         assert len(r.modules) == g.num_vertices, name
         # dense labels in [0, num_modules)
         assert set(np.unique(r.modules)) == set(range(r.num_modules)), name
+        # the reported codelength is the map equation of the returned
+        # partition on the original graph
+        oracle = _partition_codelength(net, r.modules, r.num_modules)
+        assert abs(r.codelength - oracle) <= 1e-9, (name, r.codelength, oracle)
     lo, hi = min(lengths.values()), max(lengths.values())
     assert hi <= lo * 1.10 + 1e-9, f"codelength spread too wide: {lengths}"
 
@@ -205,6 +214,22 @@ def test_parallel_bit_identical_all_families(family):
     rp = run_infomap_parallel(g, workers=2, seed=3)
     assert np.array_equal(rp.modules, rm.modules)
     assert rp.codelength == rm.codelength
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_vectorized_bit_identical_to_one_core_bsp(family, seed):
+    # vectorized is the BSP schedule on one in-process shard: at the
+    # other engines' pass cap it must land exactly where P=1 does
+    g, _ = FAMILIES[family](seed)
+    rv = run_infomap_vectorized(g, seed=seed, max_passes_per_level=10)
+    for r in (
+        run_infomap_multicore(g, num_cores=1, seed=seed),
+        run_infomap_parallel(g, workers=1, seed=seed),
+    ):
+        assert np.array_equal(rv.modules, r.modules)
+        assert rv.codelength == r.codelength
+        assert rv.levels == r.levels
 
 
 def test_parallel_bit_identical_with_chunked_rounds():

@@ -214,16 +214,18 @@ class TestAdmission:
                                         priority="x"))
             await client.send({**_vec_line(g, 0, id="accumulator"),
                                "accumulator": "reduceat"})
+            await client.send(_vec_line(g, 0, id="vecchunk", chunk=4))
             await client.send(_vec_line(g, 0, id="ok"))
             return await client.drain_to_eof()
 
         rows, gw = gw_run(_drive, shards=2)
-        assert len(rows) == 7
+        assert len(rows) == 8
         got = _by_id(rows)
         assert "priority must be an int" in got["badpriority"]["error"]
         assert "['accumulator']" in got["accumulator"]["error"]
+        assert "single-rank" in got["vecchunk"]["error"]
         for rid in ("nosource", "unknownkey", "badtau", "badpriority",
-                    "accumulator"):
+                    "accumulator", "vecchunk"):
             assert got[rid]["status"] == "rejected"
             assert got[rid]["reject"] == REJECT_INVALID
             assert got[rid]["error"]

@@ -4,8 +4,8 @@ The batched formulation (:meth:`repro.core.vectorized.Workspace.best_moves`,
 segment sums over stable-sorted (vertex, candidate-module) keys) must be
 functionally indistinguishable from the retained unbatched reference
 (:func:`repro.core.vectorized._best_moves`) on every graph class, and
-reusing one :class:`~repro.core.vectorized.Workspace` across passes,
-levels, and whole runs must never leak state.
+reusing one :class:`~repro.core.vectorized.Workspace` across module
+states and re-bound graphs must never leak state.
 """
 
 import numpy as np
@@ -135,7 +135,7 @@ class TestEngineParity:
 
 
 class TestWorkspaceReuse:
-    """One Workspace across passes/levels/runs must not leak state."""
+    """One Workspace across passes/levels/graphs must not leak state."""
 
     def test_reuse_across_graphs_matches_fresh(self):
         shared = Workspace()
@@ -146,11 +146,19 @@ class TestWorkspaceReuse:
             planted_partition(3, 10, 0.5, 0.05, seed=9)[0],  # smaller: shrink
         ]
         for g in graphs:
-            reused = run_infomap_vectorized(g, workspace=shared)
-            fresh = run_infomap_vectorized(g)
-            assert np.array_equal(reused.modules, fresh.modules), g.name
-            assert reused.codelength == fresh.codelength
-            assert reused.rounds == fresh.rounds
+            net = FlowNetwork.from_graph(g)
+            n = net.num_vertices
+            shared.bind(net)
+            fresh = Workspace().bind(net)
+            for module in _module_states(net, count=3):
+                k = int(module.max()) + 1
+                for a, b in zip(shared.module_state(module, k),
+                                fresh.module_state(module, k)):
+                    assert np.array_equal(a, b), g.name
+                enter, exit_, flow = _module_state(net, module, n)
+                for a, b in zip(shared.best_moves(module, enter, exit_, flow),
+                                fresh.best_moves(module, enter, exit_, flow)):
+                    assert np.array_equal(a, b), g.name
 
     def test_reuse_across_module_states_matches_fresh(self):
         net = FlowNetwork.from_graph(GRAPHS["planted"]())

@@ -248,12 +248,16 @@ def test_invalid_spec_rejected_without_poisoning_batch():
                 JobSpec(graph=g, engine="vectorized", workers=1, seed=0),
                 JobSpec(graph=g, engine="vectorized", workers=4),  # invalid
                 JobSpec(graph=g, engine="parallel", workers=2, seed=0),
+                JobSpec(graph=g, engine="vectorized", workers=1,
+                        chunk=4),  # invalid: vectorized takes no chunk
             ]
         )
     assert [r.status for r in results] == [
-        STATUS_COMPLETED, STATUS_REJECTED, STATUS_COMPLETED
+        STATUS_COMPLETED, STATUS_REJECTED, STATUS_COMPLETED, STATUS_REJECTED
     ]
     assert "single-rank" in results[1].error
+    assert "single-rank" in results[3].error
+    assert "chunk" in results[3].error
 
 
 @pytest.mark.parametrize("priority", ["x", None, 1.5])

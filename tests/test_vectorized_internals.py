@@ -5,7 +5,11 @@ import pytest
 
 from repro.core.flow import FlowNetwork
 from repro.core.mapequation import MapEquation
-from repro.core.vectorized import _best_moves, _module_state, _one_level
+from repro.core.vectorized import (
+    _best_moves,
+    _module_state,
+    run_infomap_vectorized,
+)
 from repro.graph.build import from_edges
 from repro.graph.generators import ring_of_cliques
 from repro.util.rng import make_rng
@@ -83,26 +87,28 @@ class TestBestMoves:
 
 
 class TestOneLevel:
+    """The engine's level-0 schedule alone (``max_levels=1``)."""
+
     def test_recovers_cliques(self):
-        net = _net()
-        module, k, length, rounds = _one_level(net, 30, make_rng(0))
-        assert k == 3
-        assert rounds >= 1
+        g, _ = ring_of_cliques(3, 4)
+        r = run_infomap_vectorized(g, max_levels=1)
+        assert r.levels == 1
+        assert r.num_modules == 3
+        assert r.rounds >= 1
 
     def test_monotone_improvement(self):
         g, _ = ring_of_cliques(5, 4)
         net = FlowNetwork.from_graph(g)
-        module, k, length, _ = _one_level(net, 30, make_rng(0))
+        r = run_infomap_vectorized(g, max_levels=1)
         singleton_L = MapEquation.codelength(
             net.node_in, net.node_out, net.node_flow, net.node_flow
         )
-        assert length <= singleton_L
+        assert r.codelength <= singleton_L
 
     def test_directed_net(self):
         g = from_edges(
             [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3), (5, 0)],
             directed=True, num_vertices=6,
         )
-        net = FlowNetwork.from_graph(g)
-        module, k, _, _ = _one_level(net, 30, make_rng(0))
-        assert k == 2
+        r = run_infomap_vectorized(g, max_levels=1)
+        assert r.num_modules == 2

@@ -3,15 +3,15 @@
 
 ``docs/observability.md`` carries the authoritative **metric catalog**
 and **span taxonomy** tables.  They rot silently: an engine grows a new
-``parallel.*`` gauge, nobody re-reads the doc, and the catalog is wrong
-until a human notices.  This tool makes the drift a CI failure, in both
-directions, for the two namespaces that change most — ``parallel.*``
-(the process-parallel engine) and ``service.*`` (the job service):
+gauge, nobody re-reads the doc, and the catalog is wrong until a human
+notices.  This tool makes the drift a CI failure, in both directions,
+for every name:
 
-* every ``parallel.*`` / ``service.*`` metric or span name emitted from
-  ``src/repro`` must appear in the doc's tables;
-* every ``parallel.*`` / ``service.*`` name the doc's tables list must
-  still be emitted somewhere in ``src/repro``.
+* every metric or span name emitted from ``src/repro`` (or from
+  ``benchmarks/conftest.py``, which publishes the bench session's
+  ``bench.*`` metrics) must appear in the doc's tables;
+* every name the doc's tables list must still be emitted from one of
+  those files.
 
 Emission sites are found textually (no imports, no network): any
 ``counter( / gauge( / histogram( / _count( / _observe( / _gauge( /
@@ -42,9 +42,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src" / "repro"
 DOC = REPO_ROOT / "docs" / "observability.md"
 
-#: namespaces under contract — names outside these are ignored on both
-#: sides (the sequential engine's infomap.* metrics predate the check)
-PREFIXES = ("accum.", "parallel.", "service.", "dynamic.", "gateway.")
+#: emitters outside ``src/repro`` whose names belong in the catalog (the
+#: rest of ``benchmarks/`` opens test-only spans and is not scanned)
+EXTRA_SOURCES = (REPO_ROOT / "benchmarks" / "conftest.py",)
 
 #: emission call sites; name helpers (_count & co in service.py) count
 #: as emitters so the check survives indirection through them
@@ -71,15 +71,13 @@ _TICK = re.compile(r"`([^`]+)`")
 
 
 def emitted_names(verbose: bool = False) -> tuple[set[str], list[str]]:
-    """All in-scope names emitted under ``src/repro`` + error strings."""
+    """All names emitted by the scanned sources + error strings."""
     names: set[str] = set()
     errors: list[str] = []
-    for py in sorted(SRC_ROOT.rglob("*.py")):
+    for py in sorted(SRC_ROOT.rglob("*.py")) + list(EXTRA_SOURCES):
         text = py.read_text()
         for m in _EMIT.finditer(text):
             is_fstring, literal = m.group(1) == "f", m.group(2)
-            if not literal.startswith(PREFIXES):
-                continue
             rel = py.relative_to(REPO_ROOT)
             if not is_fstring:
                 names.add(literal)
@@ -102,7 +100,7 @@ def emitted_names(verbose: bool = False) -> tuple[set[str], list[str]]:
 
 
 def documented_names(verbose: bool = False) -> set[str]:
-    """All in-scope names the doc's tables list (groups expanded)."""
+    """All names the doc's tables list (groups expanded)."""
     names: set[str] = set()
     for row in _DOC_ROW.finditer(DOC.read_text()):
         prev = ""
@@ -111,10 +109,9 @@ def documented_names(verbose: bool = False) -> set[str]:
                 # sibling shorthand: `.failed` after `service.jobs.completed`
                 token = prev.rsplit(".", 1)[0] + token
             prev = token
-            if token.startswith(PREFIXES):
-                names.add(token)
-                if verbose:
-                    print(f"doc:  {token}")
+            names.add(token)
+            if verbose:
+                print(f"doc:  {token}")
     return names
 
 
@@ -135,16 +132,15 @@ def main(argv: list[str] | None = None) -> int:
     for name in sorted(documented - emitted):
         errors.append(
             f"documented in docs/observability.md but no longer emitted "
-            f"from src/repro: {name}"
+            f"from src/repro or benchmarks/conftest.py: {name}"
         )
     if errors:
         print("\n".join(errors), file=sys.stderr)
         print(f"\n{len(errors)} observability-catalog inconsistencies",
               file=sys.stderr)
         return 1
-    scope = "/".join(p + "*" for p in PREFIXES)
     print(f"observability catalog consistent: {len(emitted)} "
-          f"{scope} names match docs/observability.md")
+          f"names match docs/observability.md")
     return 0
 
 
