@@ -4,8 +4,10 @@
 HyPC-Map — the parallel Infomap this paper accelerates — is a hybrid
 shared/distributed implementation.  This example runs the simulated BSP
 distributed engine across rank counts and prints the classic distributed
-trade-off: per-rank compute shrinks, communication grows, and quality
-stays put despite stale ghost information.
+trade-off: per-rank compute shrinks and communication grows, while the
+partition is the same at every rank count — each rank proposes against
+the last superstep's module state, so the merged move set does not
+depend on how the vertices are split.
 
 Run:  python examples/distributed_scaling.py [dataset]
 """

@@ -1,31 +1,37 @@
 """Simulated distributed-memory Infomap (the HyPC-Map hybrid model).
 
 HyPC-Map [Faysal et al., HPEC 2021] combines shared-memory threads with
-MPI ranks; the distributed side partitions vertices across ranks, runs
-local move passes against possibly-stale remote module information, and
-exchanges membership updates each superstep.  This module simulates that
-execution: every rank owns a contiguous vertex block, sees *ghost* copies
-of remote modules refreshed only at superstep boundaries, and pays for
-communication through a standard latency–bandwidth (α–β) network model.
+MPI ranks, and its ranks run the same schedule as its threads: each rank
+proposes moves for its own vertices against the module state of the
+last superstep, and the proposals are exchanged and merged at the
+barrier.  So this engine is the shared BSP schedule of
+:mod:`repro.core.bsp` at ``P = num_ranks`` (one edge-balanced block and
+its share of the worklist per rank, one barrier per superstep), and its
+partitions equal ``run_infomap_multicore(num_cores=num_ranks, seed=0)``
+bit for bit.
 
-What this adds over :mod:`repro.core.multicore`: staleness (ghost module
-info lags by one superstep, like BSP), explicit message accounting
-(bytes/messages per superstep — the quantities a distributed-systems
-evaluation reports), and a communication-aware simulated runtime.
+What it adds is the per-superstep accounting a distributed-systems
+evaluation reports, under a latency–bandwidth (α–β) network model:
+
+* **messages / bytes** — every rank with proposals sends them to each
+  peer, ``record_bytes`` per proposal.  The exchange precedes the
+  commit, so proposals the merge rejects travel too;
+* **comm seconds** — the slowest rank's sum of peer transfers;
+* **compute seconds** — the slowest rank's swept out-arcs divided by
+  ``compute_rate_ops_per_s``.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.accum.plain import PlainDictAccumulator
-from repro.core.flow import FlowNetwork
-from repro.core.mapequation import MapEquation
-from repro.core.supernode import convert_to_supernodes
+from repro.core.bsp import ProposeBackend, run_bsp_infomap
 from repro.graph.csr import CSRGraph
-from repro.util.entropy import plogp_array
+from repro.obs.spans import trace_span
 
 __all__ = [
     "run_infomap_distributed",
@@ -112,6 +118,10 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def validate_distributed_params(
     num_ranks: int = 4,
     tau: float = 0.15,
@@ -124,19 +134,17 @@ def validate_distributed_params(
 
     Everything a caller can get wrong fails *here*, with a readable
     reason — never as a ``TypeError``/``IndexError`` deep inside the
-    superstep loop.  This is the same two-layer contract the serving
-    stack runs on (:meth:`repro.service.jobs.JobSpec.validate`):
-    validation raises ``ValueError``, and admission control converts it
-    into a structured rejection instead of letting it escape a batch —
-    the alignment this dormant seed needs before the gateway's shard
-    router can grow a cross-host story on top of it.
+    run.  This is the same contract the serving stack runs on
+    (:meth:`repro.service.jobs.JobSpec.validate`): validation raises
+    ``ValueError``, which admission control can turn into a structured
+    rejection.  An infinite ``bandwidth_Bps`` is legal (ideal links); an
+    infinite ``latency_s`` is not.
     """
     if not _is_int(num_ranks) or num_ranks < 1:
         raise ValueError(
             f"num_ranks must be an int >= 1, got {num_ranks!r}"
         )
-    if not (isinstance(tau, (int, float)) and not isinstance(tau, bool)
-            and 0.0 < tau < 1.0):
+    if not (_is_real(tau) and 0.0 < tau < 1.0):
         raise ValueError(f"tau must be in (0, 1), got {tau!r}")
     if not _is_int(max_levels) or max_levels < 1:
         raise ValueError(
@@ -147,9 +155,8 @@ def validate_distributed_params(
             f"max_supersteps_per_level must be an int >= 1, "
             f"got {max_supersteps_per_level!r}"
         )
-    if not (isinstance(compute_rate_ops_per_s, (int, float))
-            and not isinstance(compute_rate_ops_per_s, bool)
-            and 0 < compute_rate_ops_per_s < float("inf")):
+    if not (_is_real(compute_rate_ops_per_s)
+            and 0 < compute_rate_ops_per_s < math.inf):
         raise ValueError(
             f"compute_rate_ops_per_s must be positive finite ops/s, "
             f"got {compute_rate_ops_per_s!r}"
@@ -160,14 +167,16 @@ def validate_distributed_params(
                 f"network must be a NetworkModel, "
                 f"got {type(network).__name__}"
             )
-        if not (network.latency_s >= 0):
+        latency, bandwidth = network.latency_s, network.bandwidth_Bps
+        if not (_is_real(latency) and 0 <= latency < math.inf):
             raise ValueError(
-                f"network latency_s must be >= 0, got {network.latency_s!r}"
+                f"network latency_s must be a finite real >= 0, "
+                f"got {latency!r}"
             )
-        if not (network.bandwidth_Bps > 0):
+        if not (_is_real(bandwidth) and bandwidth > 0):
             raise ValueError(
-                f"network bandwidth_Bps must be positive, "
-                f"got {network.bandwidth_Bps!r}"
+                f"network bandwidth_Bps must be a positive real "
+                f"(inf for ideal links), got {bandwidth!r}"
             )
         if not _is_int(network.record_bytes) or network.record_bytes < 1:
             raise ValueError(
@@ -176,122 +185,50 @@ def validate_distributed_params(
             )
 
 
-def _rank_blocks(n: int, arcs_per_vertex: np.ndarray, ranks: int) -> list[np.ndarray]:
-    cum = np.cumsum(arcs_per_vertex)
-    total = cum[-1] if len(cum) else 0
-    bounds = [0]
-    for r in range(1, ranks):
-        bounds.append(int(np.searchsorted(cum, total * r / ranks)))
-    bounds.append(n)
-    return [
-        np.arange(bounds[r], max(bounds[r], bounds[r + 1]), dtype=np.int64)
-        for r in range(ranks)
-    ]
+class _Ranks(ProposeBackend):
+    """BSP backend: each rank's propose plus α–β superstep accounting."""
 
+    engine = "distributed"
 
-def _local_pass(
-    net: FlowNetwork,
-    block: np.ndarray,
-    ghost_module: np.ndarray,
-    local_module: np.ndarray,
-    module_enter: np.ndarray,
-    module_exit: np.ndarray,
-    module_flow: np.ndarray,
-    sum_enter: float,
-) -> list[tuple[int, int]]:
-    """One rank's local move pass against a stale module view.
+    def __init__(
+        self, num_ranks: int, compute_rate: float, network: NetworkModel
+    ) -> None:
+        self.peers = num_ranks - 1
+        self.compute_rate = compute_rate
+        self.network = network
+        self.indptr: np.ndarray | None = None
+        self.ws = None
+        #: one ``(messages, bytes, compute_s, comm_s)`` per barrier
+        self.barriers: list[tuple[int, int, float, float]] = []
 
-    ``ghost_module`` is the superstep-start snapshot used for *remote*
-    vertices; ``local_module`` carries the rank's own fresh updates, and
-    the module-statistics arrays (rank-local copies) are updated as the
-    rank moves its own vertices — exactly the "locally fresh, remotely
-    stale" consistency distributed Infomap implementations run with.
-    Conflicting cross-rank moves are reconciled by the caller's global
-    verification.  Returns the (vertex, new_module) updates.
-    """
-    from repro.util.entropy import plogp
+    def begin_level(self, net, level, blocks, ws) -> None:
+        self.indptr = net.indptr
+        self.ws = ws
 
-    acc = PlainDictAccumulator()
-    updates: list[tuple[int, int]] = []
-    own = np.zeros(net.num_vertices, dtype=bool)
-    own[block] = True
-
-    for v in block.tolist():
-        idx, flows = net.out_arcs(v)
-        acc.begin(len(idx))
-        for t, f in zip(idx.tolist(), flows.tolist()):
-            if t == v:
+    def propose(self, shards, module, enter, exit_, flow):
+        verts_parts: list[np.ndarray] = []
+        targ_parts: list[np.ndarray] = []
+        messages = bytes_sent = 0
+        compute = comm = 0.0
+        for _rank, shard in shards:
+            if len(shard) == 0:
                 continue
-            m = local_module[t] if own[t] else ghost_module[t]
-            acc.accumulate(int(m), f)
-        out_to = dict(acc.items())
-        acc.finish()
-        cur = int(local_module[v])
-        o_old = out_to.get(cur, 0.0)
-        p_n = float(net.node_flow[v])
-        out_n = float(net.node_out[v])
-        in_n = float(net.node_in[v])
-
-        best_dl, best_m = 0.0, cur
-        best_state = None
-        for m, o_new in out_to.items():
-            if m == cur:
-                continue
-            exit_old = module_exit[cur] - (out_n - o_old) + o_old
-            enter_old = module_enter[cur] - (in_n - o_old) + o_old
-            exit_new = module_exit[m] + (out_n - o_new) - o_new
-            enter_new = module_enter[m] + (in_n - o_new) - o_new
-            flow_old = module_flow[cur] - p_n
-            flow_new = module_flow[m] + p_n
-            s_new = sum_enter + enter_old + enter_new - module_enter[cur] - module_enter[m]
-            dl = (
-                plogp(max(s_new, 0.0)) - plogp(sum_enter)
-                - (plogp(max(enter_old, 0.0)) + plogp(max(enter_new, 0.0))
-                   - plogp(module_enter[cur]) - plogp(module_enter[m]))
-                - (plogp(max(exit_old, 0.0)) + plogp(max(exit_new, 0.0))
-                   - plogp(module_exit[cur]) - plogp(module_exit[m]))
-                + (plogp(max(exit_old + flow_old, 0.0))
-                   + plogp(max(exit_new + flow_new, 0.0))
-                   - plogp(module_exit[cur] + module_flow[cur])
-                   - plogp(module_exit[m] + module_flow[m]))
-            )
-            if dl < best_dl - 1e-12:
-                best_dl, best_m = dl, m
-                best_state = (
-                    exit_old, enter_old, flow_old,
-                    exit_new, enter_new, flow_new, s_new,
+            arcs = int((self.indptr[shard + 1] - self.indptr[shard]).sum())
+            compute = max(compute, arcs / self.compute_rate)
+            v, t, _ = self.ws.best_moves(module, enter, exit_, flow, verts=shard)
+            verts_parts.append(v)
+            targ_parts.append(t)
+            if self.peers and len(v):
+                payload = len(v) * self.network.record_bytes
+                messages += self.peers
+                bytes_sent += self.peers * payload
+                comm = max(
+                    comm, self.peers * self.network.transfer_seconds(payload)
                 )
-        if best_m != cur and best_state is not None:
-            (
-                exit_old, enter_old, flow_old,
-                exit_new, enter_new, flow_new, s_new,
-            ) = best_state
-            # rank-local stats refresh (remote contributions stay stale)
-            module_exit[cur] = max(exit_old, 0.0)
-            module_enter[cur] = max(enter_old, 0.0)
-            module_flow[cur] = max(flow_old, 0.0)
-            module_exit[best_m] = exit_new
-            module_enter[best_m] = enter_new
-            module_flow[best_m] = flow_new
-            sum_enter = max(s_new, 0.0)
-            local_module[v] = best_m
-            updates.append((v, int(best_m)))
-    return updates
-
-
-def _global_state(
-    net: FlowNetwork, module: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-    n = net.num_vertices
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(net.indptr))
-    cross = module[src] != module[net.indices]
-    exit_ = np.bincount(module[src[cross]], weights=net.arc_flow[cross], minlength=n)
-    enter = np.bincount(
-        module[net.indices[cross]], weights=net.arc_flow[cross], minlength=n
-    )
-    flow = np.bincount(module, weights=net.node_flow, minlength=n)
-    length = MapEquation.codelength(enter, exit_, flow, net.node_flow)
-    return enter, exit_, flow, float(enter.sum()), length
+        self.barriers.append((messages, bytes_sent, compute, comm))
+        if not verts_parts:
+            return np.empty(0, np.int64), np.empty(0, np.int64)
+        return np.concatenate(verts_parts), np.concatenate(targ_parts)
 
 
 def run_infomap_distributed(
@@ -305,13 +242,13 @@ def run_infomap_distributed(
 ) -> DistributedResult:
     """Simulate BSP distributed Infomap over ``num_ranks`` ranks.
 
-    Per superstep: every rank sweeps its own vertices against the
-    superstep-start snapshot of remote memberships, then broadcasts its
-    membership updates (one message per peer rank); module statistics are
-    reconsolidated globally (allreduce folded into the same exchange).
-    A superstep that makes the global codelength worse (conflicting
-    concurrent moves) is rolled back with a halved acceptance, mirroring
-    the damping used by distributed implementations.
+    One run of :func:`repro.core.bsp.run_bsp_infomap` at
+    ``P = num_ranks`` with ``max_supersteps_per_level`` as its pass cap
+    and the commit's backoff RNG at seed 0, so at equal pass caps the
+    partition equals ``run_infomap_multicore(graph,
+    num_cores=num_ranks, seed=0)``.  Every pass is one superstep; its
+    :class:`SuperstepRecord` carries the accounting described in the
+    module docstring.
     """
     if not isinstance(graph, CSRGraph):
         raise ValueError(
@@ -322,113 +259,22 @@ def run_infomap_distributed(
         max_supersteps_per_level=max_supersteps_per_level,
         compute_rate_ops_per_s=compute_rate_ops_per_s, network=network,
     )
-    network = network or NetworkModel()
-    net = FlowNetwork.from_graph(graph, tau=tau)
-
-    n0 = graph.num_vertices
-    mapping = np.arange(n0, dtype=np.int64)
-    rng = np.random.default_rng(0)
-    supersteps: list[SuperstepRecord] = []
-    levels = 0
-    step_no = 0
-    length = MapEquation.one_level_codelength(net.node_flow)
-    node_flow_log0 = -length
-    flat_length = length
-
-    for level in range(max_levels):
-        levels = level + 1
-        n = net.num_vertices
-        module = np.arange(n, dtype=np.int64)
-        blocks = _rank_blocks(n, np.diff(net.indptr), num_ranks)
-        node_flow_log_level = float(plogp_array(net.node_flow).sum())
-        enter, exit_, flow, sum_enter, length = _global_state(net, module)
-        flat_length = length + node_flow_log_level - node_flow_log0
-
-        for _step in range(max_supersteps_per_level):
-            ghost = module.copy()
-            local = module.copy()
-            all_updates: list[tuple[int, int]] = []
-            per_rank_updates: list[int] = []
-            for block in blocks:
-                # each rank works on its own copy of the module statistics
-                ups = _local_pass(
-                    net, block, ghost, local,
-                    enter.copy(), exit_.copy(), flow.copy(), sum_enter,
-                )
-                all_updates.extend(ups)
-                per_rank_updates.append(len(ups))
-            if not all_updates:
-                break
-
-            # conflict resolution: accept, verify, back off if worse
-            accepted = np.ones(len(all_updates), dtype=bool)
-            applied = False
-            for _backoff in range(6):
-                trial = module.copy()
-                for (v, m), a in zip(all_updates, accepted):
-                    if a:
-                        trial[v] = m
-                e2, x2, f2, s2, l2 = _global_state(net, trial)
-                if l2 < length - 1e-12:
-                    module, enter, exit_, flow, sum_enter, length = (
-                        trial, e2, x2, f2, s2, l2
-                    )
-                    flat_length = length + node_flow_log_level - node_flow_log0
-                    applied = True
-                    break
-                accepted &= rng.random(len(all_updates)) < 0.5
-                if not accepted.any():
-                    break
-
-            # communication accounting: each rank broadcasts its updates
-            # to the other ranks (module stats consolidation piggybacks)
-            msgs = 0
-            max_rank_comm = 0.0
-            for upd_count in per_rank_updates:
-                if num_ranks == 1:
-                    break
-                payload = upd_count * network.record_bytes
-                rank_comm = sum(
-                    network.transfer_seconds(payload)
-                    for _ in range(num_ranks - 1)
-                )
-                msgs += (num_ranks - 1) if upd_count else 0
-                max_rank_comm = max(max_rank_comm, rank_comm)
-            ops = sum(
-                int(net.indptr[b[-1] + 1] - net.indptr[b[0]]) if len(b) else 0
-                for b in blocks
-            )
-            compute_s = (ops / max(num_ranks, 1)) / compute_rate_ops_per_s
-            step_no += 1
-            supersteps.append(
-                SuperstepRecord(
-                    superstep=step_no,
-                    level=level,
-                    moves=int(sum(accepted)) if applied else 0,
-                    codelength=flat_length,
-                    messages=msgs,
-                    bytes_sent=sum(per_rank_updates) * network.record_bytes
-                    * max(0, num_ranks - 1),
-                    compute_seconds=compute_s,
-                    comm_seconds=max_rank_comm,
-                )
-            )
-            if not applied:
-                break
-
-        uniq, dense = np.unique(module, return_inverse=True)
-        k = len(uniq)
-        if k == n:
-            break
-        mapping = dense.astype(np.int64)[mapping]
-        net = convert_to_supernodes(net, dense.astype(np.int64), k)
-
-    uniq, final = np.unique(mapping, return_inverse=True)
+    ranks = _Ranks(num_ranks, compute_rate_ops_per_s, network or NetworkModel())
+    with trace_span("infomap.run", engine="distributed", ranks=num_ranks):
+        out = run_bsp_infomap(
+            graph, ranks, num_ranks, seed=0, tau=tau, max_levels=max_levels,
+            max_passes_per_level=max_supersteps_per_level,
+        )
+    # chunk=None: exactly one barrier per pass
+    supersteps = [
+        SuperstepRecord(i + 1, p.level, p.applied, p.codelength, *barrier)
+        for i, (p, barrier) in enumerate(zip(out.passes, ranks.barriers))
+    ]
     return DistributedResult(
-        modules=final.astype(np.int64),
-        num_modules=len(uniq),
-        codelength=flat_length,
-        levels=levels,
+        modules=out.modules,
+        num_modules=out.num_modules,
+        codelength=out.codelength,
+        levels=out.levels,
         num_ranks=num_ranks,
         supersteps=supersteps,
     )

@@ -97,6 +97,11 @@ _ENVELOPE_KEYS = frozenset(
      "close"}
 )
 
+#: longest request line the gateway buffers (asyncio's default stream
+#: limit, made explicit): it bounds per-connection memory, and a longer
+#: line answers one ``invalid`` row and is skipped unparsed
+MAX_LINE_BYTES = 65536
+
 #: which admission gate refused a rejected line
 REJECT_INVALID = "invalid"
 REJECT_RATE_LIMIT = "rate_limit"
@@ -294,7 +299,9 @@ class Gateway:
             loop.create_task(self._shard_worker(shard), name=f"gw-{shard.name}")
             for shard in self.shards
         ]
-        self._server = await asyncio.start_server(self._handle, host, port)
+        self._server = await asyncio.start_server(
+            self._handle, host, port, limit=MAX_LINE_BYTES
+        )
         self._gauge("gateway.shards", len(self.shards))
 
     async def stop(self) -> None:
@@ -364,7 +371,20 @@ class Gateway:
         conn = _Conn()
         try:
             while True:
-                raw = await reader.readline()
+                try:
+                    raw = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    raw = exc.partial  # end of stream: b"" or a tail
+                except asyncio.LimitOverrunError as exc:
+                    conn.lineno += 1
+                    await self._reject(
+                        conn, writer, {}, REJECT_INVALID,
+                        f"line {conn.lineno}: longer than "
+                        f"{MAX_LINE_BYTES} bytes",
+                    )
+                    if not await _skip_line(reader, exc.consumed):
+                        break
+                    continue
                 if not raw:
                     break
                 conn.lineno += 1
@@ -755,3 +775,21 @@ class Gateway:
 
 def _dumps(row: dict) -> bytes:
     return (json.dumps(row, sort_keys=True) + "\n").encode()
+
+
+async def _skip_line(reader: asyncio.StreamReader, consumed: int) -> bool:
+    """Discard the rest of an over-limit line without buffering it whole.
+
+    ``consumed`` is the :class:`asyncio.LimitOverrunError` count of
+    buffered bytes that hold no line end.  Returns ``False`` when the
+    stream ended before the line did.
+    """
+    while True:
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return True
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
+        except asyncio.IncompleteReadError:
+            return False

@@ -134,6 +134,8 @@ class _GraphResolver:
             _check_edges_recipe(recipe, where)
             key = ("edges", json.dumps(recipe, sort_keys=True))
         elif "edge_list" in obj:
+            if not isinstance(obj["edge_list"], str):
+                raise ValueError(f"{where}: 'edge_list' must be a path string")
             key = ("edge_list", obj["edge_list"],
                    bool(obj.get("directed", False)))
         else:

@@ -78,10 +78,9 @@ class TestDistributedRun:
 
 class TestValidationAlignment:
     """Every bad parameter raises a readable ``ValueError`` up front —
-    never a ``TypeError``/``IndexError`` from deep inside the superstep
-    loop — so service-layer admission control can convert it into a
-    structured rejection like any other job-level problem (the
-    JobSpec.validate contract this dormant seed predated)."""
+    never a ``TypeError``/``IndexError`` from deep inside the run — so
+    admission control can convert it into a structured rejection like
+    any other job-level problem (the JobSpec.validate contract)."""
 
     def test_non_integer_ranks_raise_value_error_not_type_error(self):
         g, _ = ring_of_cliques(2, 3)
@@ -116,6 +115,20 @@ class TestValidationAlignment:
             run_infomap_distributed(
                 g, network=NetworkModel(latency_s=-1e-6)
             )
+        # non-real fields used to escape as a bare TypeError, and an
+        # infinite latency used to run with comm_seconds == inf
+        with pytest.raises(ValueError, match="bandwidth"):
+            run_infomap_distributed(
+                g, network=NetworkModel(bandwidth_Bps="10e9")
+            )
+        with pytest.raises(ValueError, match="latency"):
+            run_infomap_distributed(
+                g, network=NetworkModel(latency_s=None)
+            )
+        with pytest.raises(ValueError, match="latency"):
+            run_infomap_distributed(
+                g, network=NetworkModel(latency_s=float("inf"))
+            )
         with pytest.raises(ValueError, match="record_bytes"):
             run_infomap_distributed(
                 g, network=NetworkModel(record_bytes=0)
@@ -126,8 +139,8 @@ class TestValidationAlignment:
             run_infomap_distributed([[0, 1]], num_ranks=2)
 
     def test_validator_is_importable_for_admission_layers(self):
-        """The standalone validator lets a future shard router reject
-        rank specs without constructing a run."""
+        """The standalone validator rejects rank specs without
+        constructing a run."""
         validate_distributed_params(num_ranks=4, tau=0.15)
         with pytest.raises(ValueError, match="num_ranks"):
             validate_distributed_params(num_ranks=1.5)

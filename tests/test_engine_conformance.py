@@ -1,6 +1,6 @@
 """Cross-engine conformance suite.
 
-The repo ships four Infomap engines that all minimize the same map
+The repo ships five Infomap engines that all minimize the same map
 equation over the same flow model:
 
 ======================  ===============================================
@@ -13,6 +13,8 @@ engine                  schedule
 ``parallel+faultplan``  ``parallel`` under seeded injected worker
                         faults (kill/hang/slow/corrupt) — recovery must
                         be invisible (see tests/test_fault_injection.py)
+``distributed``         same BSP schedule on P simulated MPI ranks with
+                        α–β message accounting (backoff RNG fixed at 0)
 ======================  ===============================================
 
 This suite pins the contract between them:
@@ -24,8 +26,10 @@ This suite pins the contract between them:
   bookkeeping);
 * every engine recovers planted community structure (NMI / ARI floors);
 * ``parallel(P=k)`` is **bit-identical** to ``multicore(P=k)`` at the
-  same seed, and ``vectorized`` to both at ``P=1`` — the backends share
-  the driver in :mod:`repro.core.bsp`, so any divergence is a real bug;
+  same seed, ``distributed(P=k)`` to ``multicore(P=k)`` at seed 0, and
+  ``vectorized`` to both at ``P=1`` — the backends share the driver in
+  :mod:`repro.core.bsp`, so any divergence is a real bug; a source scan
+  keeps that driver the only multilevel BSP loop in ``repro.core``;
 * the shard-restricted sweep ``Workspace.best_moves(verts=...)`` equals
   the full sweep filtered to the shard (the property the BSP engines'
   correctness rests on);
@@ -36,10 +40,13 @@ This suite pins the contract between them:
 See ``docs/testing.md`` for how this matrix fits the wider test tiers.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.core.distributed import run_infomap_distributed
 from repro.core.faults import FaultPlan
 from repro.core.flow import FlowNetwork
 from repro.core.infomap import run_infomap
@@ -141,6 +148,8 @@ ENGINES = {
         fault_plan=FaultPlan.random(seed=seed, workers=2, faults=2),
         worker_timeout=1.0,
     ),
+    # seedless: its commit RNG is fixed at seed 0
+    "distributed": lambda g, seed: run_infomap_distributed(g, num_ranks=2),
 }
 
 SEEDS = (0, 1)
@@ -230,6 +239,34 @@ def test_vectorized_bit_identical_to_one_core_bsp(family, seed):
         assert np.array_equal(rv.modules, r.modules)
         assert rv.codelength == r.codelength
         assert rv.levels == r.levels
+
+
+@pytest.mark.parametrize("ranks", (1, 2, 4))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_distributed_bit_identical_to_multicore(family, ranks):
+    # distributed is the BSP schedule at P = num_ranks with the commit
+    # RNG at seed 0: at the multicore pass cap it lands exactly there
+    g, _ = FAMILIES[family](3)
+    rd = run_infomap_distributed(
+        g, num_ranks=ranks, max_supersteps_per_level=10
+    )
+    rm = run_infomap_multicore(g, num_cores=ranks, seed=0)
+    assert np.array_equal(rd.modules, rm.modules)
+    assert rd.codelength == rm.codelength
+    assert rd.levels == rm.levels
+
+
+def test_one_multilevel_driver():
+    # every batched engine runs bsp.py's loops; only the instrumented
+    # sequential engine keeps a level loop of its own
+    core = Path(__file__).resolve().parent.parent / "src" / "repro" / "core"
+    sources = {p.name: p.read_text() for p in core.glob("*.py")}
+
+    def owners(pattern):
+        return {name for name, text in sources.items() if pattern in text}
+
+    assert owners("for _backoff in") == {"bsp.py"}
+    assert owners("for level in range(max_levels)") == {"bsp.py", "infomap.py"}
 
 
 def test_parallel_bit_identical_with_chunked_rounds():

@@ -42,6 +42,22 @@ class TestExamples:
         out = capsys.readouterr().out
         assert "incremental refresh" in out.lower()
 
+    def test_distributed_scaling(self, capsys):
+        _run("distributed_scaling.py")
+        out = capsys.readouterr().out
+        rows = [
+            [cell.strip() for cell in line.split("|")]
+            for line in out.splitlines()
+            if line.split("|")[0].strip().isdigit()
+        ]
+        assert [int(r[0]) for r in rows] == [1, 2, 4, 8, 16]
+        assert len({r[2] for r in rows}) == 1  # one partition at every P
+        messages = [int(r[5]) for r in rows]
+        compute_ms = [float(r[7]) for r in rows]
+        assert messages[0] == 0  # one rank has no peers
+        assert messages[1:] == sorted(set(messages[1:]))  # 2 -> 16 grows
+        assert compute_ms == sorted(set(compute_ms), reverse=True)
+
     @pytest.mark.parametrize(
         "name",
         [

@@ -32,6 +32,7 @@ from repro.graph.generators import planted_partition
 from repro.service.cache import cache_key, graph_digest
 from repro.service.delta import Delta
 from repro.service.gateway import (
+    MAX_LINE_BYTES,
     REJECT_BACKPRESSURE,
     REJECT_INVALID,
     REJECT_RATE_LIMIT,
@@ -80,6 +81,7 @@ _UNBUILDABLE = {
     "planted-unallocatable": {
         "planted": {"communities": 10 ** 6, "size": 10 ** 6,
                     "p_in": 0.1, "p_out": 0.1}},
+    "edge-list-not-a-path": {"edge_list": 5},
 }
 
 
@@ -354,6 +356,40 @@ class TestIsolation:
         assert [r["id"] for r in rows] == ["whole"]
         assert rows[0]["status"] == "completed"
         assert gw.stats["truncated_lines"] == 1
+
+    def test_over_limit_lines_answer_invalid_rows(self):
+        """A line past MAX_LINE_BYTES answers one invalid row — also a
+        valid job, and also when its newline arrives only after the
+        server's buffer filled — its rest is never parsed as a line,
+        and the connection keeps serving."""
+        big, _ = planted_partition(8, 120, 0.13, 0.0015, seed=1)
+        small, _ = FAMILIES["undirected"](0)
+        valid_big = (json.dumps(_vec_line(big, 0, id="big")) + "\n").encode()
+        padded = json.dumps({
+            "planted": {"communities": 2, "size": 5, "p_in": 0.9,
+                        "p_out": 0.1},
+            "engine": "vectorized", "workers": 1, "label": "x" * 370_000,
+        }).encode()
+        assert MAX_LINE_BYTES < len(valid_big) < 2 * MAX_LINE_BYTES
+        assert len(padded) > 5 * MAX_LINE_BYTES
+
+        async def _drive(gw):
+            client = await GatewayClient.connect("127.0.0.1", gw.port)
+            await client.send_raw(valid_big)
+            await client.send_raw(padded)  # no newline yet
+            rows = await client.recv_many(2)
+            await client.send_raw(b"\n")
+            await client.send(_vec_line(small, 0, id="ok"))
+            return rows + await client.drain_to_eof()
+
+        rows, _gw = gw_run(_drive, shards=1)
+        assert [r["status"] for r in rows] == [
+            "rejected", "rejected", "completed"]
+        for lineno, row in enumerate(rows[:2], start=1):
+            assert row["reject"] == REJECT_INVALID
+            assert row["error"] == (
+                f"line {lineno}: longer than {MAX_LINE_BYTES} bytes")
+        assert rows[2]["id"] == "ok"
 
     def test_interleaved_tenants_on_one_connection(self):
         """Two tenants multiplexed on one socket: every response echoes

@@ -343,10 +343,12 @@ def test_malformed_delta_line_fails_fast_with_line_number(
          '"p_in": 0.1, "p_out": 0.1}', "bad 'planted' recipe"),
         ('"dataset": "amazon", "accumulator": "reduceat"',
          "unknown key(s) ['accumulator']"),
+        ('"edge_list": 5', "'edge_list' must be a path string"),
     ],
     ids=["unknown-dataset", "vertex-id-past-int64",
          "num-vertices-past-int64", "num-vertices-unallocatable",
-         "planted-unallocatable", "accumulator-key"],
+         "planted-unallocatable", "accumulator-key",
+         "edge-list-not-a-path"],
 )
 def test_bad_jobs_line_fails_with_line_number(tmp_path, source, message):
     """A graph source that cannot be built, or a key JobSpec does not
