@@ -13,7 +13,7 @@ batched (bincount/segment-sum) answer.  This bench makes the speedup
 * the ratio ``batched / reference`` is a machine-independent speedup,
   gated against the checked-in floors in
   ``benchmarks/baselines/hotpath_baseline.json`` by the tests marked
-  ``perf_gate`` (CI runs the smallest family on every push);
+  ``perf_gate`` (CI runs the two smallest families on every push);
 * absolute throughputs plus an end-to-end engine wall time are recorded
   into ``BENCH_hotpath.json`` at the repo root — the longitudinal
   artifact (schema documented in docs/benchmarks.md).
@@ -22,10 +22,11 @@ Run everything::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_vectorized_hotpath.py -q
 
-Run only the regression gate (what CI does, on the smallest family)::
+Run only the regression gate (what CI does, on the two smallest
+families)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_vectorized_hotpath.py \
-        -m perf_gate -k ring_small -q
+        -m perf_gate -k "ring_small or planted_mid" -q
 """
 
 import json
@@ -77,8 +78,10 @@ def _orkut_surrogate():
 
 
 #: family name -> deterministic graph builder, smallest first.  The CI
-#: perf-gate job runs ``-k ring_small``; ``orkut_surrogate`` is the
-#: largest Table I surrogate (the acceptance-criterion graph).
+#: perf-gate job runs ``-k "ring_small or planted_mid"``: ring_small's
+#: 320 vertices mostly measure per-call overhead, planted_mid's 2000 reach
+#: the sweep itself.  ``orkut_surrogate`` is the largest Table I
+#: surrogate (the acceptance-criterion graph).
 FAMILIES = {
     "ring_small": _ring_small,
     "planted_mid": _planted_mid,

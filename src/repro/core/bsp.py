@@ -134,6 +134,9 @@ def commit_proposals(
     ws: Workspace,
     net: FlowNetwork,
     module: np.ndarray,
+    enter: np.ndarray,
+    exit_: np.ndarray,
+    flow: np.ndarray,
     length: float,
     verts: np.ndarray,
     targets: np.ndarray,
@@ -145,7 +148,9 @@ def commit_proposals(
     accepts the batch iff the codelength strictly improved; otherwise the
     proposal set is halved with the seeded RNG and retried (at most
     :data:`BACKOFF_TRIES` times).  Returns the (possibly unchanged) state
-    ``(module, enter, exit, flow, length, applied_verts)``.
+    ``(module, enter, exit, flow, length, applied_verts)``; when every
+    attempt is rejected that is the caller's own ``(module, enter,
+    exit_, flow, length)``, returned as passed in.
 
     This is a pure function of its inputs plus the RNG stream — the
     determinism anchor of the whole schedule.
@@ -164,7 +169,6 @@ def commit_proposals(
         accepted &= keep
         if not np.any(accepted):
             break
-    enter, exit_, flow = ws.module_state(module, n)
     return module, enter, exit_, flow, length, np.empty(0, dtype=np.int64)
 
 
@@ -486,7 +490,8 @@ def run_bsp_infomap(
                         continue
                     module, enter, exit_, flow, length, applied = (
                         commit_proposals(
-                            ws, net, module, length, verts, targets, rng
+                            ws, net, module, enter, exit_, flow, length,
+                            verts, targets, rng,
                         )
                     )
                     if len(applied):

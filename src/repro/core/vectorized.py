@@ -29,24 +29,37 @@ instead performs the *whole sweep's* accumulation as one segment-sum:
    (directed graphs append the transpose arcs with separate out/in
    weights, so one grouping aligns both flow directions on identical
    keys);
-2. a single stable integer argsort groups equal keys contiguously —
-   numpy's radix path, the batched analogue of hash-bucket grouping;
+2. one sort groups equal keys contiguously, in stable order — the
+   batched analogue of hash-bucket grouping.  numpy radix-sorts only
+   integers of 16 bits or less, so a stable argsort of int64 keys runs
+   timsort; instead each key is packed as ``key << b | pair_index``
+   (``b`` bits for the pair index), and one in-place sort of these
+   unique keys yields exactly the stable permutation.  Inputs whose
+   packed keys would not fit 63 bits fall back to the stable argsort;
 3. ``np.add.reduceat`` over the group boundaries produces the per
    (vertex, candidate-module) flows — the sparse accumulation itself;
 4. map-equation deltas are evaluated for all pairs at once, gathering
    per-module ``plogp`` terms from tables precomputed once per sweep
-   (O(n)) instead of recomputing ``x log2 x`` per pair;
+   (O(n)) instead of recomputing ``x log2 x`` per pair.  The
+   leaving-module half of each delta depends only on the vertex, so it
+   is evaluated once per vertex and gathered per pair, as HyPC-Map's
+   FindBestCommunity does before its loop over neighbour modules;
 5. the per-vertex best candidate is selected with a segmented argmin
    (``np.minimum.reduceat`` over the vertex group boundaries), not a
    sort.
 
-All sweep-sized scratch lives in a :class:`Workspace` that survives
-across passes *and* levels, so steady-state sweeps allocate only the
-(data-dependent) group-boundary index arrays.  The unbatched reference
-formulation is kept as :func:`_best_moves` / :func:`_module_state`;
-parity tests (``tests/test_hotpath_parity.py``) assert the two paths
-produce identical moves, and ``benchmarks/bench_vectorized_hotpath.py``
-gates the speedup of batched over reference.
+Steps 2 and 4 keep every expression's operands and left-to-right
+grouping, so neither changes a bit of any delta;
+``tests/test_sweep_oracle.py`` holds the sweep byte-identical to its
+argsort-grouped, per-pair form.  The sweep-sized key, index and weight
+buffers of steps 1–3 live in a :class:`Workspace` that survives across
+passes *and* levels; the group boundaries and the candidate-pair and
+per-vertex temporaries of steps 3–5 are allocated per sweep.  The
+unbatched reference formulation is kept as :func:`_best_moves` /
+:func:`_module_state`; parity tests (``tests/test_hotpath_parity.py``)
+assert the two paths produce identical moves, and
+``benchmarks/bench_vectorized_hotpath.py`` gates the speedup of batched
+over reference.
 """
 
 from __future__ import annotations
@@ -106,8 +119,7 @@ class Workspace:
       arcs with zero-filled complementary weight columns).
     * Sweep-sized scratch buffers are capacity-backed: binding a
       *smaller* network slices the existing allocations instead of
-      reallocating, so coarser levels and subsequent runs are
-      allocation-free in steady state.
+      reallocating, so coarser levels and subsequent runs reuse them.
     * No state is carried between passes: every buffer handed out is
       fully overwritten (or zero-filled) before it is read, so reusing
       one Workspace across levels/graphs is bit-identical to using a
@@ -189,9 +201,13 @@ class Workspace:
         msrc = np.take(module, src, out=self._buf("ms_src", len(src), np.int64))
         mdst = np.take(module, dst, out=self._buf("ms_dst", len(dst), np.int64))
         cross = np.not_equal(msrc, mdst, out=self._buf("ms_x", len(src), bool))
-        w = net.arc_flow[cross]
-        exit_flow = np.bincount(msrc[cross], weights=w, minlength=k)
-        enter_flow = np.bincount(mdst[cross], weights=w, minlength=k)
+        # index the cross arcs once and take from them: cheaper than three
+        # mask compressions, and unlike zero-weighted bincounts over all
+        # arcs the bincounts shrink as fewer arcs cross modules
+        idx = np.flatnonzero(cross)
+        w = net.arc_flow[idx]
+        exit_flow = np.bincount(msrc[idx], weights=w, minlength=k)
+        enter_flow = np.bincount(mdst[idx], weights=w, minlength=k)
         flow = np.bincount(module, weights=net.node_flow, minlength=k)
         return enter_flow, exit_flow, flow
 
@@ -264,9 +280,8 @@ class Workspace:
         key = np.multiply(pair_src, np.int64(n), out=self._buf("bm_key", P, np.int64))
         key += mdst
 
-        # 2. group equal keys (stable sort -> radix on int64)
-        order = np.argsort(key, kind="stable")
-        ks = np.take(key, order, out=self._buf("bm_ks", P, np.int64))
+        # 2. group equal keys (one sort of packed unique keys)
+        order, ks = _group_keys(key, n, self._iota(P))
         bounds = self._buf("bm_bounds", P, bool)
         bounds[0] = True
         np.not_equal(ks[1:], ks[:-1], out=bounds[1:])
@@ -288,45 +303,66 @@ class Workspace:
         pv = pair_src[sel]          # pair vertex (non-decreasing)
         pm = mdst[sel]              # pair candidate module
 
-        cur = module[pv]
-        # per-vertex flow to its current module (gathered from the pairs)
+        # per-vertex flow to its current module (gathered from the pairs).
+        # Each mask is turned into indices once: taking by index is
+        # cheaper than compressing every array by the mask.
+        own = pm == module[pv]
+        oi = np.flatnonzero(own)
+        ov = pv[oi]
         out_to_cur = self._buf("bm_otc", n)
         out_to_cur.fill(0.0)
-        own = pm == cur
-        out_to_cur[pv[own]] = out_to[own]
+        out_to_cur[ov] = out_to[oi]
         if net.directed:
             in_from_cur = self._buf("bm_ifc", n)
             in_from_cur.fill(0.0)
-            in_from_cur[pv[own]] = in_from[own]
+            in_from_cur[ov] = in_from[oi]
         else:
             in_from_cur = out_to_cur
 
-        cand = ~own
-        if not np.any(cand):
+        ci = np.flatnonzero(~own)
+        if len(ci) == 0:
             return _EMPTY_MOVES
-        cv, cm = pv[cand], pm[cand]
-        c_out, c_in = out_to[cand], in_from[cand]
+        cv, cm = pv[ci], pm[ci]
+        c_out = out_to[ci]
+        c_in = in_from[ci] if net.directed else c_out
 
-        p_n = net.node_flow[cv]
-        out_n = net.node_out[cv]
-        in_n = net.node_in[cv]
-        old = cur[cand]
+        # vertex segments of the candidate pairs (cv is non-decreasing):
+        # pair i belongs to vertex cv[vstarts[seg[i]]]
+        C = len(cv)
+        vbounds = self._buf("bm_vb", C, bool)
+        vbounds[0] = True
+        np.not_equal(cv[1:], cv[:-1], out=vbounds[1:])
+        vstarts = np.flatnonzero(vbounds)
+        seg = np.cumsum(vbounds, out=self._buf("bm_seg", C, np.int64))
+        seg -= 1
 
-        # 4. map-equation deltas for all candidate pairs at once
-        exit_old_new = exit_[old] - (out_n - out_to_cur[cv]) + in_from_cur[cv]
-        enter_old_new = enter[old] - (in_n - in_from_cur[cv]) + out_to_cur[cv]
-        exit_new_new = exit_[cm] + (out_n - c_out) - c_in
-        enter_new_new = enter[cm] + (in_n - c_in) - c_out
+        # 4. map-equation deltas for all candidate pairs at once.  The
+        # leaving-module half depends only on the vertex, so it is
+        # evaluated once per vertex (HyPC-Map's FindBestCommunity does so
+        # before its loop over neighbour modules) and gathered per pair.
+        v = cv[vstarts]
+        old = module[v]
+        p_n = net.node_flow[v]
+        out_n = net.node_out[v]
+        in_n = net.node_in[v]
+        exit_old_new = exit_[old] - (out_n - out_to_cur[v]) + in_from_cur[v]
+        enter_old_new = enter[old] - (in_n - in_from_cur[v]) + out_to_cur[v]
         flow_old_new = flow[old] - p_n
-        flow_new_new = flow[cm] + p_n
-
         np.clip(exit_old_new, 0.0, None, out=exit_old_new)
         np.clip(enter_old_new, 0.0, None, out=enter_old_new)
         np.clip(flow_old_new, 0.0, None, out=flow_old_new)
 
+        exit_new_new = exit_[cm] + (out_n[seg] - c_out) - c_in
+        enter_new_new = enter[cm] + (in_n[seg] - c_in) - c_out
+        flow_new_new = flow[cm] + p_n[seg]
+
+        # same operands and left-to-right grouping as the per-pair form
+        # ``sum_enter + enter_old_new + enter_new_new - enter[old] -
+        # enter[cm]``, so every delta is bit-identical to it
         sum_enter = float(enter.sum())
         sum_enter_new = (
-            sum_enter + enter_old_new + enter_new_new - enter[old] - enter[cm]
+            (sum_enter + enter_old_new)[seg] + enter_new_new
+            - enter[old][seg] - enter[cm]
         )
         np.clip(sum_enter_new, 0.0, None, out=sum_enter_new)
 
@@ -340,34 +376,27 @@ class Workspace:
             pu(sum_enter_new)
             - plogp(sum_enter)
             - (
-                pu(enter_old_new)
+                pu(enter_old_new)[seg]
                 + pu(enter_new_new)
-                - p_enter[old]
+                - p_enter[old][seg]
                 - p_enter[cm]
             )
             - (
-                pu(exit_old_new)
+                pu(exit_old_new)[seg]
                 + pu(exit_new_new)
-                - p_exit[old]
+                - p_exit[old][seg]
                 - p_exit[cm]
             )
             + (
-                pu(exit_old_new + flow_old_new)
+                pu(exit_old_new + flow_old_new)[seg]
                 + pu(exit_new_new + flow_new_new)
-                - p_exit_flow[old]
+                - p_exit_flow[old][seg]
                 - p_exit_flow[cm]
             )
         )
 
-        # 5. segmented argmin per vertex (cv is non-decreasing)
-        C = len(cv)
-        vbounds = self._buf("bm_vb", C, bool)
-        vbounds[0] = True
-        np.not_equal(cv[1:], cv[:-1], out=vbounds[1:])
-        vstarts = np.flatnonzero(vbounds)
+        # 5. segmented argmin per vertex
         minval = np.minimum.reduceat(dl, vstarts)
-        seg = np.cumsum(vbounds, out=self._buf("bm_seg", C, np.int64))
-        seg -= 1
         pos = self._buf("bm_pos", C, np.int64)
         np.copyto(pos, self._iota(C))
         pos[dl != minval[seg]] = C  # mask non-minima
@@ -375,6 +404,33 @@ class Workspace:
         verts, targets, deltas = cv[first], cm[first], dl[first]
         improving = deltas < -MIN_IMPROVEMENT
         return verts[improving], targets[improving], deltas[improving]
+
+
+def _group_keys(
+    key: np.ndarray, n: int, iota: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``np.argsort(key, kind="stable")`` and the sorted keys.
+
+    ``key`` holds pair keys in ``[0, n*n)``; ``iota`` is
+    ``arange(len(key))``.  numpy radix-sorts only integers of 16 bits or
+    less, so a stable argsort of int64 keys runs timsort.  When each key
+    still fits 63 bits with its pair index packed into the low bits, one
+    in-place sort of the packed keys replaces it: packed keys are
+    unique, so any correct sort yields exactly the stable permutation.
+    Larger inputs fall back to the stable argsort.  ``key`` is
+    overwritten on the packed path (it returns as the sorted keys).
+    """
+    P = len(key)
+    b = (P - 1).bit_length()
+    if (int(n) * int(n) - 1).bit_length() + b > 63:
+        order = np.argsort(key, kind="stable")
+        return order, key[order]
+    key <<= b
+    key |= iota
+    key.sort()
+    order = key & np.int64((1 << b) - 1)
+    key >>= b
+    return order, key
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.bsp import BACKOFF_TRIES, commit_proposals
 from repro.core.flow import FlowNetwork
 from repro.core.mapequation import MapEquation
 from repro.core.vectorized import (
+    Workspace,
     _best_moves,
     _module_state,
     run_infomap_vectorized,
@@ -112,3 +114,57 @@ class TestOneLevel:
         )
         r = run_infomap_vectorized(g, max_levels=1)
         assert r.num_modules == 2
+
+
+class _CountingWorkspace(Workspace):
+    """Records the labels of every ``module_state`` call."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.states: list[np.ndarray] = []
+
+    def module_state(self, module, k):
+        self.states.append(module.copy())
+        return super().module_state(module, k)
+
+
+class _Draws:
+    """A stand-in RNG whose every draw is ``value``."""
+
+    def __init__(self, value: float) -> None:
+        self.value = value
+
+    def random(self, size):
+        return np.full(size, self.value)
+
+
+class TestCommit:
+    @pytest.mark.parametrize(
+        "draw, attempts",
+        [(0.9, 1),               # the first halving keeps nothing
+         (0.0, BACKOFF_TRIES)],  # every halving keeps everything
+    )
+    def test_rejected_commit_returns_the_callers_state(self, draw, attempts):
+        g, truth = ring_of_cliques(3, 4)
+        net = FlowNetwork.from_graph(g)
+        n = net.num_vertices
+        ws = _CountingWorkspace().bind(net)
+        module = truth.astype(np.int64)
+        enter, exit_, flow = ws.module_state(module, n)
+        length = MapEquation.codelength(enter, exit_, flow, net.node_flow)
+        ws.states.clear()
+        # splitting a converged clique never improves the codelength
+        verts = np.array([0, 1], dtype=np.int64)
+        targets = np.array([1, 2], dtype=np.int64)
+        out = commit_proposals(
+            ws, net, module, enter, exit_, flow, length, verts, targets,
+            _Draws(draw),
+        )
+        assert len(out[5]) == 0
+        assert out[0] is module and out[4] == length
+        assert out[1] is enter and out[2] is exit_ and out[3] is flow
+        # one module_state per attempt, each on the trial labels, and no
+        # recompute of the state the caller passed in
+        assert len(ws.states) == attempts
+        for labels in ws.states:
+            assert not np.array_equal(labels, module)
