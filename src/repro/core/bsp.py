@@ -15,11 +15,15 @@ deterministic two-phase schedule, defined once here:
    per-core accounting, or on real worker processes over shared memory
    — is the only thing an engine supplies.
 2. **commit** — the driver merges proposals in core order behind a
-   barrier: apply all of them at once, recompute module state, accept if
-   the codelength improved, otherwise deterministically halve the move
-   set with the seeded RNG and retry (:func:`commit_proposals`).
+   barrier and holds back every move from a lower label into a module
+   that is itself losing a member in the batch (:func:`hold_back`), so
+   the batch cannot swap or rotate vertices between modules; it
+   applies the kept moves at once, recomputes module state, accepts if
+   the codelength improved, otherwise deterministically halves the move
+   set with the seeded RNG and retries (:func:`commit_proposals`).
 
-After a level's first pass only the movers and their neighbours are
+After a level's first pass only the movers, their neighbours and every
+vertex that proposed a move (held back, halved away or applied) are
 revisited (:func:`active_neighborhood`), HyPC-Map's active-vertex
 worklist.
 
@@ -64,6 +68,7 @@ __all__ = [
     "edge_balanced_blocks",
     "active_neighborhood",
     "split_active_by_block",
+    "hold_back",
     "commit_proposals",
     "run_bsp_infomap",
 ]
@@ -96,15 +101,18 @@ def edge_balanced_blocks(net: FlowNetwork, num_cores: int) -> list[np.ndarray]:
 
 
 def active_neighborhood(
-    ws: Workspace, net: FlowNetwork, moved: np.ndarray
+    ws: Workspace, net: FlowNetwork, moved: np.ndarray, proposers: np.ndarray
 ) -> np.ndarray:
-    """Vertices to revisit next pass: movers plus their neighbourhoods.
+    """Vertices to revisit next pass: movers plus their neighbourhoods,
+    plus every proposer.
 
     Vectorized equivalent of the sequential engine's ``_active_set`` (one
     arc-mask instead of a per-mover Python loop), shared by every BSP
     engine so their worklists are identical.  Returns the sorted vertex
     ids.  Directed networks also revisit the movers' in-neighbours (the
-    sources of arcs into a mover).
+    sources of arcs into a mover).  A proposer whose move was held back
+    or halved away still had an improving move, so it is revisited too;
+    its neighbours are not.
     """
     flags = np.zeros(net.num_vertices, dtype=bool)
     flags[moved] = True
@@ -113,6 +121,7 @@ def active_neighborhood(
     flags[out_nbrs] = True
     if in_nbrs is not None:
         flags[in_nbrs] = True
+    flags[proposers] = True
     return np.flatnonzero(flags)
 
 
@@ -128,6 +137,32 @@ def split_active_by_block(
         else:
             out.append(np.empty(0, dtype=np.int64))
     return out
+
+
+def hold_back(
+    module: np.ndarray, verts: np.ndarray, targets: np.ndarray
+) -> np.ndarray:
+    """Which merged proposals the commit keeps (``True`` = kept).
+
+    Holds back every move from module ``a`` into a module ``b`` that is
+    itself losing a member in the same batch, when ``a < b``: the lower
+    label wins.  Two guarantees:
+
+    * **the kept moves contain no cycle of modules** (a swap is the
+      2-cycle), so a committed batch cannot swap or rotate vertices
+      between modules.  Every module on a cycle loses a member, so each
+      kept move on it goes down in label, which no cycle can do;
+    * **at least one move is kept** whenever any is proposed.  If every
+      move went up into a losing module, the move with the largest
+      target ``b`` would need a move leaving ``b`` for a larger label.
+
+    O(n + proposals), with no sort and no RNG draw, so the mask does not
+    depend on the order of the proposals.
+    """
+    src = module[verts]
+    departs = np.zeros(len(module), dtype=bool)
+    departs[src] = True
+    return ~(departs[targets] & (src < targets))
 
 
 def commit_proposals(
@@ -321,6 +356,9 @@ class BSPPassRecord:
     codelength: float
     wall_seconds: float
     seconds: float  #: simulated parallel seconds (multicore) or wall
+    #: proposals :func:`hold_back` kept out of the commit; ``proposed -
+    #: held_back - applied`` is what the backoff halving dropped
+    held_back: int = 0
 
 
 @dataclass
@@ -464,7 +502,8 @@ def run_bsp_infomap(
             backend.on_pass_orders(core_orders)
             offsets = [0] * num_cores
             rounds = 0
-            proposed_total = 0
+            held_total = 0
+            proposers: list[np.ndarray] = []
             applied_all: list[np.ndarray] = []
             with trace_span("findbest", level=level, pass_=pass_idx):
                 while any(
@@ -485,13 +524,15 @@ def run_bsp_infomap(
                     verts, targets = backend.propose(
                         shards, module, enter, exit_, flow
                     )
-                    proposed_total += len(verts)
                     if len(verts) == 0:
                         continue
+                    proposers.append(verts)
+                    keep = hold_back(module, verts, targets)
+                    held_total += len(verts) - int(np.count_nonzero(keep))
                     module, enter, exit_, flow, length, applied = (
                         commit_proposals(
                             ws, net, module, enter, exit_, flow, length,
-                            verts, targets, rng,
+                            verts[keep], targets[keep], rng,
                         )
                     )
                     if len(applied):
@@ -521,16 +562,19 @@ def run_bsp_infomap(
                     vertices=n,
                     rounds=rounds,
                     active_vertices=sum(len(o) for o in core_orders),
-                    proposed=proposed_total,
+                    proposed=sum(len(v) for v in proposers),
                     applied=len(movers),
                     codelength=length + flat_offset,
                     wall_seconds=wall,
                     seconds=sim if sim is not None else wall,
+                    held_back=held_total,
                 )
             )
             if len(movers) == 0:
                 break
-            active = active_neighborhood(ws, net, movers)
+            active = active_neighborhood(
+                ws, net, movers, np.concatenate(proposers)
+            )
             active_sets = list(split_active_by_block(active, blocks))
 
         flat_length = length + flat_offset

@@ -8,13 +8,15 @@ The engine runs the shared barrier-synchronous schedule of
 :mod:`repro.core.bsp` on one in-process shard: each pass evaluates the
 best move of every vertex on the worklist against the current partition
 simultaneously (vectorized over all (vertex, candidate-module) pairs) and
-applies all improving moves at once — the batch-synchronous relaxation
+applies the improving moves at once — the batch-synchronous relaxation
 that parallel Infomap implementations (GossipMap, HyPC-Map) use across
-workers.  After a level's first pass only movers and their neighbours are
-revisited.  Conflicting simultaneous moves are resolved by the schedule's
-commit (:func:`repro.core.bsp.commit_proposals`), which backs off by
-seeded random halving of the move set whenever the batch does not improve
-the codelength; this guarantees monotone codelength improvement and hence
+workers.  After a level's first pass only movers, their neighbours and
+the vertices that proposed a move are revisited.  Conflicting
+simultaneous moves are resolved by the schedule's commit: moves that
+close a cycle of modules are held back (:func:`repro.core.bsp.hold_back`),
+and :func:`repro.core.bsp.commit_proposals` backs off by seeded random
+halving of the move set whenever the batch does not improve the
+codelength; this guarantees monotone codelength improvement and hence
 termination.
 
 Batched hot-path formulation

@@ -47,7 +47,7 @@ import json
 from typing import Iterable
 
 from repro.graph.csr import CSRGraph
-from repro.service.delta import Delta
+from repro.service.delta import Delta, _is_int
 from repro.service.jobs import JobSpec
 
 __all__ = ["load_jobs", "append_job", "spec_fields_from_json"]
@@ -108,16 +108,28 @@ def _check_edges_recipe(recipe, where: str) -> None:
         raise ValueError(f"{where}: 'edges' needs an 'arcs' array")
     for i, arc in enumerate(arcs):
         if (not isinstance(arc, list) or len(arc) not in (2, 3)
-                or not all(isinstance(x, (int, float))
-                           and not isinstance(x, bool) for x in arc)):
+                or not all(_is_int(x) for x in arc[:2])
+                or not all(_is_number(x) for x in arc[2:])):
             raise ValueError(
-                f"{where}: arc {i} must be [u, v] or [u, v, weight], "
-                f"got {arc!r}"
+                f"{where}: arc {i} must be [u, v] or [u, v, weight] with "
+                f"integer u and v, got {arc!r}"
             )
     nv = recipe.get("num_vertices")
-    if nv is not None and (not isinstance(nv, int) or isinstance(nv, bool)
-                           or nv < 1):
+    if nv is not None and (not _is_int(nv) or nv < 1):
         raise ValueError(f"{where}: 'num_vertices' must be an int >= 1")
+    _check_directed(recipe, where)
+
+
+def _is_number(x) -> bool:
+    """A JSON number: ``true``/``false`` decode to ``bool``, an ``int``."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _check_directed(obj: dict, where: str) -> None:
+    """``directed`` must be a JSON boolean: ``bool("no")`` is ``True``."""
+    if not isinstance(obj.get("directed", False), bool):
+        raise ValueError(f"{where}: 'directed' must be true or false, "
+                         f"got {obj['directed']!r}")
 
 
 class _GraphResolver:
@@ -128,6 +140,8 @@ class _GraphResolver:
 
     def resolve(self, obj: dict, where: str) -> CSRGraph:
         if "dataset" in obj:
+            if not isinstance(obj["dataset"], str):
+                raise ValueError(f"{where}: 'dataset' must be a name string")
             key = ("dataset", obj["dataset"])
         elif "edges" in obj:
             recipe = obj["edges"]
@@ -136,12 +150,18 @@ class _GraphResolver:
         elif "edge_list" in obj:
             if not isinstance(obj["edge_list"], str):
                 raise ValueError(f"{where}: 'edge_list' must be a path string")
-            key = ("edge_list", obj["edge_list"],
-                   bool(obj.get("directed", False)))
+            _check_directed(obj, where)
+            key = ("edge_list", obj["edge_list"], obj.get("directed", False))
         else:
             recipe = obj["planted"]
             if not isinstance(recipe, dict):
                 raise ValueError(f"{where}: 'planted' must be an object")
+            # every planted_partition parameter is a number or a string
+            bad = sorted(k for k, v in recipe.items()
+                         if not (_is_number(v) or isinstance(v, str)))
+            if bad:
+                raise ValueError(f"{where}: 'planted' values must be "
+                                 f"numbers or strings; {bad} are not")
             key = ("planted", tuple(sorted(recipe.items())))
         graph = self._cache.get(key)
         if graph is not None:
@@ -161,7 +181,7 @@ class _GraphResolver:
                 graph = from_edges(
                     [tuple(a) for a in recipe["arcs"]],
                     num_vertices=recipe.get("num_vertices"),
-                    directed=bool(recipe.get("directed", False)),
+                    directed=recipe.get("directed", False),
                     name=str(recipe.get("name", "inline")),
                 )
             except (ValueError, OverflowError, MemoryError) as exc:
@@ -172,7 +192,7 @@ class _GraphResolver:
             from repro.graph.io import read_edge_list
 
             graph, _ = read_edge_list(
-                obj["edge_list"], directed=bool(obj.get("directed", False))
+                obj["edge_list"], directed=obj.get("directed", False)
             )
         else:
             from repro.graph.generators import planted_partition

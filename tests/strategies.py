@@ -12,7 +12,9 @@ One home for the generators that were previously copy-pasted across
 * :data:`seeds` / :data:`small_seeds` — integer seeds for the seeded
   generators (full-range for cheap properties, a small range where each
   example runs a whole Infomap pipeline);
-* :data:`directedness` — the directed/undirected flag.
+* :data:`directedness` — the directed/undirected flag;
+* :func:`module_moves` — one BSP round's merged move proposals over a
+  few modules, swaps and longer cycles of modules included.
 
 Keep strategies *here* and tolerances/invariants in the tests: a strategy
 describes the input space, a test describes what must hold on it.  See
@@ -28,7 +30,7 @@ from repro.graph.build import from_edges
 from repro.graph.csr import CSRGraph
 
 __all__ = ["edge_lists", "weights", "weighted_graphs", "hand_built_csrs",
-           "seeds", "small_seeds", "directedness"]
+           "seeds", "small_seeds", "directedness", "module_moves"]
 
 
 def edge_lists(
@@ -102,3 +104,30 @@ small_seeds = st.integers(0, 1000)
 
 #: directed / undirected construction flag
 directedness = st.booleans()
+
+
+@st.composite
+def module_moves(draw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One BSP round's merged proposals ``(module, verts, targets)``.
+
+    Labels come from at most six modules, so swaps (``a → b`` beside
+    ``b → a``) and longer cycles of modules are common: the batches a
+    commit that applies every proposal at once would ping-pong on.
+    Proposal vertices are distinct and in random order, and no target
+    is the vertex's own module, as in the driver's proposals.
+    """
+    n = draw(st.integers(1, 24))
+    k = draw(st.integers(1, min(n, 6)))
+    module = np.array(
+        draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)),
+        dtype=np.int64,
+    )
+    if k == 1:
+        verts: list[int] = []
+    else:
+        verts = draw(st.lists(st.integers(0, n - 1), unique=True))
+    # the k - 1 labels other than the vertex's own
+    others = [draw(st.integers(0, k - 2)) for _ in verts]
+    targets = [x + (x >= module[v]) for v, x in zip(verts, others)]
+    return (module, np.array(verts, dtype=np.int64),
+            np.array(targets, dtype=np.int64))

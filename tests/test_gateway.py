@@ -82,6 +82,14 @@ _UNBUILDABLE = {
         "planted": {"communities": 10 ** 6, "size": 10 ** 6,
                     "p_in": 0.1, "p_out": 0.1}},
     "edge-list-not-a-path": {"edge_list": 5},
+    "float-vertex-id": {"edges": {"arcs": [[1.9, 2]]}},
+    "edges-directed-not-bool": {
+        "edges": {"arcs": [[0, 1]], "directed": "no"}},
+    "edge-list-directed-not-bool": {"edge_list": "g.txt", "directed": "no"},
+    "dataset-not-a-string": {"dataset": ["amazon"]},
+    "planted-list-value": {
+        "planted": {"communities": [2], "size": 20, "p_in": 0.45,
+                    "p_out": 0.02}},
 }
 
 

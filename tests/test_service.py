@@ -344,11 +344,21 @@ def test_malformed_delta_line_fails_fast_with_line_number(
         ('"dataset": "amazon", "accumulator": "reduceat"',
          "unknown key(s) ['accumulator']"),
         ('"edge_list": 5', "'edge_list' must be a path string"),
+        ('"edges": {"arcs": [[1.9, 2]]}', "integer u and v"),
+        ('"edges": {"arcs": [[0, 1]], "directed": "no"}',
+         "'directed' must be true or false"),
+        ('"edge_list": "g.txt", "directed": "no"',
+         "'directed' must be true or false"),
+        ('"dataset": ["amazon"]', "'dataset' must be a name string"),
+        ('"planted": {"communities": [2], "size": 20, "p_in": 0.45, '
+         '"p_out": 0.02}', "'planted' values must be numbers or strings"),
     ],
     ids=["unknown-dataset", "vertex-id-past-int64",
          "num-vertices-past-int64", "num-vertices-unallocatable",
          "planted-unallocatable", "accumulator-key",
-         "edge-list-not-a-path"],
+         "edge-list-not-a-path", "float-vertex-id",
+         "edges-directed-not-bool", "edge-list-directed-not-bool",
+         "dataset-not-a-string", "planted-list-value"],
 )
 def test_bad_jobs_line_fails_with_line_number(tmp_path, source, message):
     """A graph source that cannot be built, or a key JobSpec does not
