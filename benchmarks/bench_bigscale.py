@@ -6,9 +6,10 @@ graph the paper scales on, small enough that per-round orchestration
 overhead used to dominate and throughput *fell* with workers.  This
 bench closes that gap: it streams a multi-million-arc surrogate
 directly into the shared-memory arena (:mod:`repro.graph.stream` — no
-Python-object edge list is ever materialised), runs the chunked-round
-parallel engine at 1/2/4 workers on it, and gates the 4-vs-1-worker
-sweep-throughput ratio against ``benchmarks/baselines/bigscale_baseline.json``.
+Python-object edge list is ever materialised), runs the parallel
+engine (one propose round per pass) at 1/2/4 workers on it, and gates
+the 4-vs-1-worker sweep-throughput ratio against
+``benchmarks/baselines/bigscale_baseline.json``.
 
 Profiles — select with ``REPRO_BIGSCALE`` (default ``smoke``):
 

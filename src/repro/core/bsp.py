@@ -8,7 +8,7 @@ deterministic two-phase schedule, defined once here:
 1. **propose** — vertices are sharded across ``P`` cores by arc count
    (:func:`edge_balanced_blocks`); each core computes the best improving
    move of every vertex in its shard against the snapshot of module state
-   taken at the start of the round, using the shard-restricted batched
+   taken at the start of the pass, using the shard-restricted batched
    sweep (:meth:`repro.core.vectorized.Workspace.best_moves` with
    ``verts=``).  Where that computation *executes* — in-process
    (:class:`InprocessSweep`), in-process on simulated cores with
@@ -22,14 +22,15 @@ deterministic two-phase schedule, defined once here:
    the codelength improved, otherwise deterministically halves the move
    set with the seeded RNG and retries (:func:`commit_proposals`).
 
-After a level's first pass only the movers, their neighbours and every
-vertex that proposed a move (held back, halved away or applied) are
-revisited (:func:`active_neighborhood`), HyPC-Map's active-vertex
-worklist.
+Every pass is one propose round over each core's whole order and one
+commit — a single barrier per pass, HyPC-Map's schedule.  After a
+level's first pass only the movers, their neighbours and every vertex
+that proposed a move (held back, halved away or applied) are revisited
+(:func:`active_neighborhood`), HyPC-Map's active-vertex worklist.
 
 Because every quantity that feeds a decision — shard boundaries, snapshot
 state, proposal math, merge order, backoff RNG stream — lives in this
-module and is a pure function of ``(graph, num_cores, seed, chunk)``, two
+module and is a pure function of ``(graph, num_cores, seed)``, two
 engines running this schedule produce **bit-identical partitions** at
 equal core counts and seeds.  ``tests/test_engine_conformance.py``
 enforces exactly that for ``parallel(P=k)`` vs ``multicore(P=k)``, and
@@ -74,7 +75,7 @@ __all__ = [
 ]
 
 #: commit retries: halve the proposal set at most this many times before
-#: declaring the round a wash
+#: declaring the pass a wash
 BACKOFF_TRIES = 6
 
 
@@ -217,12 +218,10 @@ class ProposeBackend:
             begin_level(net, level, blocks, ws)
             for pass:
                 begin_pass(module)
-                on_pass_orders(core_orders)    # each core's full pass order
-                for round:                     # chunk slices of each order
-                    on_barrier(level, pass, round, barrier)
-                    propose(shards, module, enter, exit, flow)
-                    on_commit(applied_verts)   # after the merge
-                end_pass(rounds) -> sim seconds | None
+                on_barrier(level, pass, barrier)  # skipped if all orders empty
+                propose(shards, module, enter, exit, flow)
+                on_commit(applied_verts)          # when moves landed
+                end_pass() -> sim seconds | None
             on_update_members(mapping, dense) -> mapping
             coarsen(net, dense, k, ws) -> coarser net
         close()
@@ -230,16 +229,9 @@ class ProposeBackend:
     Only :meth:`propose` is mandatory; the accounting hooks default to
     no-ops so the parallel engine implements nothing but the propose.
     ``propose`` receives ``shards`` as ``[(core_id, vertex_array), ...]``
-    in ascending core order and must return ``(verts, targets)``
-    concatenated in that order — the merge order the commit relies on.
-
-    :meth:`on_pass_orders` exists so a backend can amortize per-round
-    traffic: the driver slices each core's order *sequentially* from
-    offset 0, so a backend that ships the whole order up front can
-    address every subsequent round as a plain ``[lo, hi)`` window into
-    it (what the parallel engine's chunked commit rounds do).  The
-    hook changes *where bytes travel*, never what is computed — shards
-    passed to :meth:`propose` stay authoritative.
+    in ascending core order — each core's whole order for the pass — and
+    must return ``(verts, targets)`` concatenated in that order, the
+    merge order the commit relies on.
     """
 
     #: engine label for telemetry/metrics
@@ -260,25 +252,14 @@ class ProposeBackend:
     def begin_pass(self, module: np.ndarray) -> None:
         pass
 
-    def on_pass_orders(self, core_orders: list[np.ndarray]) -> None:
-        """Each core's full vertex order for the coming pass.
+    def on_barrier(self, level: int, pass_idx: int, barrier: int) -> None:
+        """Called immediately before each pass's propose.
 
-        Called once per pass, after :meth:`begin_pass`; every round's
-        shard for core ``p`` is the next ``chunk``-sized slice of
-        ``core_orders[p]``, taken in order from offset 0.
-        """
-        pass
-
-    def on_barrier(
-        self, level: int, pass_idx: int, round_idx: int, barrier: int
-    ) -> None:
-        """Called immediately before each propose round.
-
-        ``barrier`` is the global 0-based propose-round counter across
-        the whole run — the coordinate a
-        :class:`repro.core.faults.FaultPlan` addresses, and the unit the
-        supervisor's recovery replays.  ``round_idx`` is the 0-based
-        round within the current pass.
+        ``barrier`` is the global 0-based propose counter across the
+        whole run — the coordinate a :class:`repro.core.faults.FaultPlan`
+        addresses, and the unit the supervisor's recovery replays.  A
+        pass whose every core order is empty proposes nothing and
+        crosses no barrier.
         """
         pass
 
@@ -292,7 +273,7 @@ class ProposeBackend:
     ) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def end_pass(self, rounds: int) -> float | None:
+    def end_pass(self) -> float | None:
         """Simulated pass seconds (multicore) or ``None`` for wall time."""
         return None
 
@@ -349,6 +330,7 @@ class BSPPassRecord:
     level: int
     pass_in_level: int
     vertices: int  #: (super)nodes at this level
+    #: propose rounds (= barriers): 1, or 0 when every order was empty
     rounds: int
     active_vertices: int
     proposed: int
@@ -383,7 +365,6 @@ def run_bsp_infomap(
     tau: float = 0.15,
     max_levels: int = 20,
     max_passes_per_level: int = 10,
-    chunk: int | None = None,
     recorder: TelemetryRecorder | None = None,
     init_module: np.ndarray | None = None,
     init_active: np.ndarray | None = None,
@@ -396,18 +377,11 @@ def run_bsp_infomap(
         Engine-specific :class:`ProposeBackend` (where propose executes).
     num_cores:
         Shard count ``P``.  Partitions are a function of ``P`` — the
-        conformance contract is *equal engines at equal P/seed/chunk*,
-        not equality across different ``P``.
+        conformance contract is *equal engines at equal P/seed*, not
+        equality across different ``P``.
     seed:
         Seeds the commit's conflict-backoff RNG.  Same seed (and same
-        ``P``/``chunk``) ⇒ identical partition, for every BSP engine.
-    chunk:
-        Round granularity: each round every core proposes over its next
-        ``chunk`` shard vertices, then the merge commits.  ``None``
-        (default) processes each core's whole shard per round — one
-        barrier per pass, the standard batch-parallel schedule.  Small
-        chunks emulate a finer-grained concurrent interleaving (more
-        commits per pass) at higher merge cost.
+        ``P``) ⇒ identical partition, for every BSP engine.
     init_module:
         Optional warm-start assignment for level 0 (one label per
         vertex, labels in ``[0, num_vertices)``; densified here).  When
@@ -426,8 +400,6 @@ def run_bsp_infomap(
     """
     if num_cores < 1:
         raise ValueError("num_cores must be >= 1")
-    if chunk is not None and chunk < 1:
-        raise ValueError("chunk must be >= 1 (or None for whole shards)")
     n0_check = graph.num_vertices
     if init_module is not None:
         init_module = np.asarray(init_module, dtype=np.int64)
@@ -471,7 +443,7 @@ def run_bsp_infomap(
     levels = 0
     flat_length = one_level
     converged = False
-    barrier = 0  # global propose-round counter (FaultPlan coordinate)
+    barrier = 0  # global propose counter (FaultPlan coordinate)
 
     for level in range(max_levels):
         levels = level + 1
@@ -495,40 +467,24 @@ def run_bsp_infomap(
         for pass_idx in range(max_passes_per_level):
             wall0 = time.perf_counter()
             backend.begin_pass(module)
-            core_orders = [
-                blocks[p] if active_sets[p] is None else active_sets[p]
+            shards = [
+                (p, blocks[p] if active_sets[p] is None else active_sets[p])
                 for p in range(num_cores)
             ]
-            backend.on_pass_orders(core_orders)
-            offsets = [0] * num_cores
-            rounds = 0
-            held_total = 0
-            proposers: list[np.ndarray] = []
-            applied_all: list[np.ndarray] = []
+            active_count = sum(len(order) for _, order in shards)
+            rounds = held = 0
+            verts = applied = np.empty(0, dtype=np.int64)
             with trace_span("findbest", level=level, pass_=pass_idx):
-                while any(
-                    offsets[p] < len(core_orders[p]) for p in range(num_cores)
-                ):
-                    rounds += 1
-                    shards: list[tuple[int, np.ndarray]] = []
-                    for p in range(num_cores):
-                        order = core_orders[p]
-                        lo = offsets[p]
-                        hi = len(order) if chunk is None else min(
-                            lo + chunk, len(order)
-                        )
-                        offsets[p] = hi
-                        shards.append((p, order[lo:hi]))
-                    backend.on_barrier(level, pass_idx, rounds - 1, barrier)
+                if active_count:
+                    rounds = 1
+                    backend.on_barrier(level, pass_idx, barrier)
                     barrier += 1
                     verts, targets = backend.propose(
                         shards, module, enter, exit_, flow
                     )
-                    if len(verts) == 0:
-                        continue
-                    proposers.append(verts)
+                if len(verts):
                     keep = hold_back(module, verts, targets)
-                    held_total += len(verts) - int(np.count_nonzero(keep))
+                    held = len(verts) - int(np.count_nonzero(keep))
                     module, enter, exit_, flow, length, applied = (
                         commit_proposals(
                             ws, net, module, enter, exit_, flow, length,
@@ -536,21 +492,15 @@ def run_bsp_infomap(
                         )
                     )
                     if len(applied):
-                        applied_all.append(applied)
                         backend.on_commit(applied)
             wall = time.perf_counter() - wall0
-            sim = backend.end_pass(rounds)
-            movers = (
-                np.concatenate(applied_all)
-                if applied_all
-                else np.empty(0, dtype=np.int64)
-            )
+            sim = backend.end_pass()
             recorder.record_kernel("findbest", wall)
             recorder.record_pass(
                 level=level,
                 pass_in_level=pass_idx,
-                active_vertices=sum(len(o) for o in core_orders),
-                moves=len(movers),
+                active_vertices=active_count,
+                moves=len(applied),
                 num_modules=ws.num_modules(module),
                 codelength=length + flat_offset,
                 wall_seconds=wall,
@@ -561,21 +511,20 @@ def run_bsp_infomap(
                     pass_in_level=pass_idx,
                     vertices=n,
                     rounds=rounds,
-                    active_vertices=sum(len(o) for o in core_orders),
-                    proposed=sum(len(v) for v in proposers),
-                    applied=len(movers),
+                    active_vertices=active_count,
+                    proposed=len(verts),
+                    applied=len(applied),
                     codelength=length + flat_offset,
                     wall_seconds=wall,
                     seconds=sim if sim is not None else wall,
-                    held_back=held_total,
+                    held_back=held,
                 )
             )
-            if len(movers) == 0:
+            if len(applied) == 0:
                 break
-            active = active_neighborhood(
-                ws, net, movers, np.concatenate(proposers)
-            )
-            active_sets = list(split_active_by_block(active, blocks))
+            active_sets = list(split_active_by_block(
+                active_neighborhood(ws, net, applied, verts), blocks
+            ))
 
         flat_length = length + flat_offset
         uniq = np.unique(module)

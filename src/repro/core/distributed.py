@@ -265,7 +265,7 @@ def run_infomap_distributed(
             graph, ranks, num_ranks, seed=0, tau=tau, max_levels=max_levels,
             max_passes_per_level=max_supersteps_per_level,
         )
-    # chunk=None: exactly one barrier per pass
+    # one barrier per pass: supersteps and passes pair up
     supersteps = [
         SuperstepRecord(i + 1, p.level, p.applied, p.codelength, *barrier)
         for i, (p, barrier) in enumerate(zip(out.passes, ranks.barriers))

@@ -24,7 +24,7 @@ with two warm-start inputs:
   every BSP engine uses.  Later passes grow the worklist from the
   movers exactly as a cold run does.
 
-Because the BSP schedule is a pure function of ``(graph, P, seed, chunk,
+Because the BSP schedule is a pure function of ``(graph, P, seed,
 init)``, a warm refresh produces **identical partitions on every engine**
 at equal ``workers``/``seed``/dirty set — ``engine="vectorized"`` runs the
 schedule in-process on one shard, ``"multicore"`` on ``P`` simulated
@@ -114,9 +114,7 @@ def dirty_frontier(graph: CSRGraph, dirty: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate([dirty, dst[flags[src]], src[flags[dst]]]))
 
 
-def _validate_refresh_params(
-    engine: str, workers: int, chunk: int | None
-) -> None:
+def _validate_refresh_params(engine: str, workers: int) -> None:
     if engine not in DYNAMIC_ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}: choose from {DYNAMIC_ENGINES}"
@@ -126,10 +124,6 @@ def _validate_refresh_params(
     if engine == "vectorized" and workers != 1:
         raise ValueError(
             "engine 'vectorized' is single-rank: workers must be 1"
-        )
-    if engine == "vectorized" and chunk is not None:
-        raise ValueError(
-            "engine 'vectorized' is single-rank: chunk must be None"
         )
 
 
@@ -144,7 +138,6 @@ def warm_refresh(
     tau: float = 0.15,
     max_levels: int = 20,
     max_passes: int = 10,
-    chunk: int | None = None,
     full_rerun_threshold: float = DEFAULT_FULL_RERUN_THRESHOLD,
     pool=None,
     deadline: float | None = None,
@@ -160,10 +153,10 @@ def warm_refresh(
     dirty:
         Vertices whose incident edges changed since ``labels`` was
         computed.  Ignored when ``labels`` is ``None``.
-    engine / workers / seed / chunk:
+    engine / workers / seed:
         Which engine runs the refresh and its determinism coordinates;
         a warm refresh is identical across engines at equal
-        ``workers``/``seed``/``chunk`` (the BSP schedule guarantee).
+        ``workers``/``seed`` (the BSP schedule guarantee).
     full_rerun_threshold:
         Dirty-frontier share of the vertex set past which the warm
         start is abandoned for the engine's standard from-scratch run.
@@ -172,7 +165,7 @@ def warm_refresh(
         (``engine="parallel"`` only) — how the serving layer runs
         refreshes on its warm worker pools.
     """
-    _validate_refresh_params(engine, workers, chunk)
+    _validate_refresh_params(engine, workers)
     if not (0.0 < full_rerun_threshold <= 1.0):
         raise ValueError("full_rerun_threshold must be in (0, 1]")
     n = graph.num_vertices
@@ -204,7 +197,7 @@ def warm_refresh(
         seeded = seeded.astype(np.int64)
         touched = len(frontier)
     r = _run(
-        graph, engine, workers, seed, tau, max_levels, max_passes, chunk,
+        graph, engine, workers, seed, tau, max_levels, max_passes,
         pool, deadline, worker_timeout, seeded, frontier,
     )
     seconds = time.perf_counter() - t0
@@ -221,14 +214,13 @@ def warm_refresh(
     )
     _publish_refresh(result)
     _ledger_refresh(
-        graph, engine, workers, seed, tau, max_levels, max_passes, chunk,
-        result,
+        graph, engine, workers, seed, tau, max_levels, max_passes, result,
     )
     return result
 
 
 def _run(
-    graph, engine, workers, seed, tau, max_levels, max_passes, chunk,
+    graph, engine, workers, seed, tau, max_levels, max_passes,
     pool, deadline, worker_timeout, init_module, init_active,
 ):
     """One BSP run on ``engine``: warm-started from ``init_module`` /
@@ -239,7 +231,7 @@ def _run(
 
         return run_infomap_parallel(
             graph, workers=workers, tau=tau, max_levels=max_levels,
-            max_passes_per_level=max_passes, seed=seed, chunk=chunk,
+            max_passes_per_level=max_passes, seed=seed,
             pool=pool, deadline=deadline, worker_timeout=worker_timeout,
             init_module=init_module, init_active=init_active,
         )
@@ -248,7 +240,7 @@ def _run(
 
         return run_infomap_multicore(
             graph, num_cores=workers, tau=tau, max_levels=max_levels,
-            max_passes_per_level=max_passes, chunk=chunk, seed=seed,
+            max_passes_per_level=max_passes, seed=seed,
             init_module=init_module, init_active=init_active,
         )
     return run_bsp_infomap(
@@ -271,8 +263,7 @@ def _publish_refresh(result: RefreshResult) -> None:
 
 
 def _ledger_refresh(
-    graph, engine, workers, seed, tau, max_levels, max_passes, chunk,
-    result,
+    graph, engine, workers, seed, tau, max_levels, max_passes, result,
 ) -> None:
     """One ``kind="dynamic"`` ledger row per refresh (when armed)."""
     if not obs_ledger.is_enabled():
@@ -290,7 +281,6 @@ def _ledger_refresh(
             "tau": tau,
             "max_levels": max_levels,
             "max_passes_per_level": max_passes,
-            "chunk": chunk,
         },
         telemetry={
             "codelength": result.codelength,
@@ -317,7 +307,7 @@ class DynamicCommunities:
         Edge direction semantics.
     tau:
         Teleportation for directed flows.
-    engine / workers / seed / chunk:
+    engine / workers / seed:
         Engine configuration every refresh runs with (see
         :func:`warm_refresh`).
     full_rerun_threshold:
@@ -333,12 +323,11 @@ class DynamicCommunities:
         engine: str = "vectorized",
         workers: int = 1,
         seed: int = 0,
-        chunk: int | None = None,
         full_rerun_threshold: float = DEFAULT_FULL_RERUN_THRESHOLD,
     ):
         if num_vertices <= 0:
             raise ValueError("num_vertices must be positive")
-        _validate_refresh_params(engine, workers, chunk)
+        _validate_refresh_params(engine, workers)
         if not (0.0 < full_rerun_threshold <= 1.0):
             raise ValueError("full_rerun_threshold must be in (0, 1]")
         self.num_vertices = num_vertices
@@ -347,7 +336,6 @@ class DynamicCommunities:
         self.engine = engine
         self.workers = workers
         self.seed = seed
-        self.chunk = chunk
         self.full_rerun_threshold = full_rerun_threshold
         self._edges: dict[tuple[int, int], float] = {}
         self._dirty: set[int] = set()
@@ -451,7 +439,7 @@ class DynamicCommunities:
             graph, self.modules, dirty,
             engine=self.engine, workers=self.workers, seed=self.seed,
             tau=self.tau, max_levels=max_levels, max_passes=max_passes,
-            chunk=self.chunk, full_rerun_threshold=self.full_rerun_threshold,
+            full_rerun_threshold=self.full_rerun_threshold,
         )
         self.modules = result.modules.copy()
         self.num_modules = result.num_modules

@@ -401,7 +401,12 @@ def _run_infomap(
                 recorder.kernel("convert2supernode"):
             net = convert_to_supernodes(net, dense, k, ctx, stats)
 
-    final_modules, num_modules = _densify(mapping, partition)
+    if converged:
+        # the last level merged nothing, so it was never folded into
+        # mapping; a level cap ends the loop with every level folded
+        mapping = dense[mapping]
+    uniq, final_modules = np.unique(mapping, return_inverse=True)
+    num_modules = len(uniq)
     overflowed = getattr(accumulator, "overflowed_vertices", 0)
 
     telemetry = recorder.finish(converged)
@@ -413,7 +418,7 @@ def _run_infomap(
     log.debug("run done: %s", telemetry.summary())
 
     return InfomapResult(
-        modules=final_modules,
+        modules=final_modules.astype(np.int64),
         num_modules=num_modules,
         codelength=partition.flat_codelength(node_flow_log0),
         one_level_codelength=one_level,
@@ -441,16 +446,6 @@ def _active_set(net: FlowNetwork, moved: list[int]) -> np.ndarray:
             tlo, thi = net.t_indptr[v], net.t_indptr[v + 1]
             parts.append(net.t_indices[tlo:thi])
     return np.unique(np.concatenate(parts))
-
-
-def _densify(
-    mapping: np.ndarray, partition: Partition
-) -> tuple[np.ndarray, int]:
-    """Compose the final level's assignment and densify labels."""
-    level_dense, _k = partition.dense_assignment()
-    final = level_dense[mapping]
-    uniq, dense = np.unique(final, return_inverse=True)
-    return dense.astype(np.int64), len(uniq)
 
 
 def _charge_pagerank(

@@ -8,12 +8,12 @@ simulated cores by running the shared barrier-synchronous schedule of
 
 * vertices are partitioned into ``P`` contiguous blocks balanced by arc
   count (HyPC-Map's static edge-balanced distribution);
-* per round, each core *proposes* the best move of every vertex in its
-  shard against the round-start snapshot; the driver *commits* the merged
-  proposal set deterministically behind the barrier (the same propose /
-  commit cycle the real process-parallel engine runs, which is why
-  ``multicore(P=k)`` and ``parallel(P=k)`` are bit-identical at equal
-  seeds — see ``core/bsp.py``);
+* per pass, each core *proposes* the best move of every vertex in its
+  shard against the pass-start snapshot; the schedule *commits* the
+  merged proposal set deterministically behind the barrier (the same
+  propose / commit cycle the real process-parallel engine runs, which
+  is why ``multicore(P=k)`` and ``parallel(P=k)`` are bit-identical at
+  equal seeds — see ``core/bsp.py``);
 * each core owns a :class:`~repro.sim.context.HardwareContext` (private
   L1/L2, shared L3 in detailed mode) and — for the ASA backend — its own
   CAM ("each thread has its own core-local CAM", Section III-A).  The
@@ -24,7 +24,7 @@ simulated cores by running the shared barrier-synchronous schedule of
   per-core counters exactly as the sequential engine would, while the
   authoritative proposals come from the batched sweep;
 * the pass's parallel time is the *maximum* over cores of the cycles that
-  core spent, plus a barrier cost per commit round; per-core metrics
+  core spent, plus one barrier cost; per-core metrics
   (Figs 9–11) come from the per-core counters.
 
 PageRank, Convert2SuperNode, and UpdateMembers are parallelized in
@@ -232,10 +232,10 @@ class _SimulatedCores(ProposeBackend):
             return np.empty(0, np.int64), np.empty(0, np.int64)
         return np.concatenate(verts_parts), np.concatenate(targ_parts)
 
-    def end_pass(self, rounds: int) -> float:
+    def end_pass(self) -> float:
         after = [self._cm.cycles(s.findbest).seconds for s in self.stats]
         core_secs = [a - b for a, b in zip(after, self._pass_before)]
-        return max(core_secs) + self._barrier_s * max(1, rounds)
+        return max(core_secs) + self._barrier_s
 
     def on_commit(self, applied: np.ndarray) -> None:
         # UpdateMembers: each applied move is charged to its owning core
@@ -289,7 +289,6 @@ def run_infomap_multicore(
     tau: float = 0.15,
     max_levels: int = 20,
     max_passes_per_level: int = 10,
-    chunk: int | None = None,
     seed: int = 0,
     init_module: np.ndarray | None = None,
     init_active: np.ndarray | None = None,
@@ -298,15 +297,9 @@ def run_infomap_multicore(
 
     Parameters
     ----------
-    chunk:
-        Round granularity of the shared BSP schedule: each commit round
-        covers the next ``chunk`` vertices of every core's shard.
-        ``None`` (default) processes whole shards per round — one barrier
-        per pass.  Smaller chunks emulate a finer-grained concurrent
-        interleaving at a higher (simulated) barrier cost.
     seed:
         Seeds the commit's conflict-backoff RNG.  ``multicore(P=k)`` and
-        ``parallel(P=k)`` are bit-identical at equal ``seed``/``chunk``.
+        ``parallel(P=k)`` are bit-identical at equal ``seed``.
     init_module / init_active:
         Warm-start assignment and first-pass restriction for level 0
         (see :func:`repro.core.bsp.run_bsp_infomap`) — the incremental
@@ -332,7 +325,6 @@ def run_infomap_multicore(
             tau=tau,
             max_levels=max_levels,
             max_passes_per_level=max_passes_per_level,
-            chunk=chunk,
             recorder=recorder,
             init_module=init_module,
             init_active=init_active,

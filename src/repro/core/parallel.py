@@ -7,30 +7,29 @@ on a real worker process:
 
 * ``P`` persistent workers are forked once per run and fed over duplex
   pipes; no pool re-spawn per sweep;
-* the level's CSR flow network, the round-start module state, and a
+* the level's CSR flow network, the pass-start module state, and a
   per-worker **proposal reply buffer** live in one
   :class:`multiprocessing.shared_memory.SharedMemory` arena — workers
   map them as zero-copy numpy views;
-* rounds are **chunked commit rounds**: each worker receives its whole
-  pass order once (``("orders", verts)``), after which every round is a
-  constant-size ``("round", lo, hi, fault)`` window into it; the worker
-  writes its proposed ``(vertices, targets)`` into its arena reply
-  buffer and answers with a constant-size ``("done", id, count, wall)``
-  — so per-round pipe traffic is O(1) regardless of shard size, and the
-  barrier cost of small ``chunk`` values is amortized;
+* the protocol is three messages: ``("bind", ...)`` attaches a worker
+  to a level's arena, ``("round", verts, fault)`` asks it to propose
+  for its whole pass order — one round per BSP pass — and ``("close",)``
+  ends it.  The worker writes its proposed ``(vertices, targets)`` into
+  its arena reply buffer and answers with a constant-size
+  ``("done", id, count, wall)``;
 * each worker binds its own batched
   :class:`~repro.core.vectorized.Workspace` to the shared arrays and runs
   the shard-restricted sweep
   (:meth:`~repro.core.vectorized.Workspace.best_moves` with ``verts=``);
-* the master snapshots the round-start state into the arena only when a
-  commit actually changed it (the dirty-flag skip — converging passes
-  stop paying the O(n) rewrite), gathers proposals in fixed worker
-  order out of the reply buffers, and commits them with the shared
-  deterministic merge (:func:`repro.core.bsp.commit_proposals`).
+* the master writes the pass-start state into the arena before every
+  round — each round follows a fresh arena or an accepted commit, since
+  a pass that moves nothing ends its level — gathers proposals in fixed
+  worker order out of the reply buffers, and commits them with the
+  shared deterministic merge (:func:`repro.core.bsp.commit_proposals`).
 
 Because propose is a pure deterministic function of the snapshot and the
 merge is driver-side, ``parallel(P=k)`` is **bit-identical** to
-``multicore(P=k)`` at the same seed/chunk — the conformance suite pins
+``multicore(P=k)`` at the same seed — the conformance suite pins
 this.  Observability: each worker reports its sweep wall time per round;
 the master records one ``parallel.propose`` span per worker per round
 with ``core=worker_id``, so the trace viewer shows one track per real
@@ -49,14 +48,12 @@ master therefore *supervises* its workers instead of trusting them:
 * every reply is validated before use — a malformed payload marks the
   worker compromised;
 * a failed worker is killed, respawned, re-attached to the current
-  level's arena, and its exact shard is replayed against the unchanged
-  round snapshot.  A respawned worker has lost its pass order, so the
-  replay — and every further round it gets this pass — uses the
-  explicit-shard message form (``("roundv", verts, fault)``); the next
-  pass re-arms it with fresh orders.  Propose is a pure function of
-  (snapshot, shard) and the gather order is fixed, so the commit
-  stream — and therefore the final partition — is **bit-identical to a
-  fault-free run at the same seed** no matter where a worker dies.  ``tests/test_fault_injection.py``
+  level's arena, and sent the same ``("round", verts, None)`` again,
+  replaying its exact shard against the unchanged pass snapshot.
+  Propose is a pure function of (snapshot, shard) and the gather order
+  is fixed, so the commit stream — and therefore the final partition —
+  is **bit-identical to a fault-free run at the same seed** no matter
+  where a worker dies.  ``tests/test_fault_injection.py``
   proves this at every barrier of every conformance family, using the
   seeded :class:`repro.core.faults.FaultPlan` injection layer this
   module executes worker-side.
@@ -148,10 +145,9 @@ class ParallelResult:
     propose_seconds: float = 0.0
     #: total shard vertices dispatched to workers, all rounds
     proposed_vertices: int = 0
-    #: chunked commit rounds executed (= barriers crossed)
+    #: propose rounds executed (= barriers crossed, at most one per pass)
     rounds: int = 0
-    #: O(n) snapshot-state arena writes performed; the dirty-flag skip
-    #: keeps this at (accepted commits + levels), not at ``rounds``
+    #: O(n) snapshot-state arena writes performed: one per round
     state_writes: int = 0
     #: faults fired by the injected FaultPlan, per kind (empty: no plan)
     faults_injected: dict[str, int] = field(default_factory=dict)
@@ -221,7 +217,7 @@ def _net_fields(net: FlowNetwork) -> list[tuple[str, tuple[int, ...], np.dtype]]
         ("node_flow", (n,), np.float64),
         ("node_out", (n,), np.float64),
         ("node_in", (n,), np.float64),
-        # round-start snapshot state, rewritten by the master per round
+        # pass-start snapshot state, rewritten by the master per round
         ("module", (n,), np.int64),
         ("enter", (n,), np.float64),
         ("exit", (n,), np.float64),
@@ -303,11 +299,8 @@ def _perform_fault(conn, worker_id: int, fault: str | None) -> bool:
 def _worker_main(conn, worker_id: int) -> None:
     """Persistent worker loop: bind arenas, answer propose rounds.
 
-    Rounds come in two forms: ``("round", lo, hi, fault)`` — a window
-    into the pass order previously delivered via ``("orders", verts)``
-    — and ``("roundv", verts, fault)`` with the shard spelled out (the
-    recovery fallback for a respawned worker that missed the orders).
-    Either way the proposals land in this worker's arena reply buffer
+    A ``("round", verts, fault)`` message carries the worker's whole
+    pass order; the proposals land in this worker's arena reply buffer
     and only a constant-size ``("done", id, count, wall)`` crosses the
     pipe.
     """
@@ -316,20 +309,6 @@ def _worker_main(conn, worker_id: int) -> None:
     views: dict[str, np.ndarray] = {}
     ws = Workspace()
     net: FlowNetwork | None = None
-    order: np.ndarray | None = None
-
-    def answer(verts: np.ndarray, fault: str | None) -> None:
-        if fault is not None and _perform_fault(conn, worker_id, fault):
-            return
-        t0 = time.perf_counter()
-        v, t, _ = ws.best_moves(
-            views["module"], views["enter"], views["exit"],
-            views["flow"], verts=verts,
-        )
-        k = len(v)
-        views[f"reply_verts_{worker_id}"][:k] = v
-        views[f"reply_targets_{worker_id}"][:k] = t
-        conn.send(("done", worker_id, k, time.perf_counter() - t0))
 
     try:
         while True:
@@ -342,23 +321,24 @@ def _worker_main(conn, worker_id: int) -> None:
                 views = _views(shm.buf, descr)
                 net = _net_from_views(views, directed)
                 ws.bind(net)
-                order = None
                 conn.send(("bound", worker_id))
                 if old_shm is not None:
                     old_shm.close()
-            elif kind == "orders":
-                order = msg[1]
             elif kind == "round":
-                _, lo, hi, fault = msg
-                if order is None:
-                    raise RuntimeError(
-                        f"worker {worker_id} got a round window with no "
-                        f"pass orders bound"
-                    )
-                answer(order[lo:hi], fault)
-            elif kind == "roundv":
                 _, verts, fault = msg
-                answer(verts, fault)
+                if fault is not None and _perform_fault(
+                    conn, worker_id, fault
+                ):
+                    continue
+                t0 = time.perf_counter()
+                v, t, _ = ws.best_moves(
+                    views["module"], views["enter"], views["exit"],
+                    views["flow"], verts=verts,
+                )
+                k = len(v)
+                views[f"reply_verts_{worker_id}"][:k] = v
+                views[f"reply_targets_{worker_id}"][:k] = t
+                conn.send(("done", worker_id, k, time.perf_counter() - t0))
             elif kind == "close":
                 break
     except (EOFError, KeyboardInterrupt):
@@ -463,13 +443,6 @@ class _WorkerPool(ProposeBackend):
                         len(swept), ", ".join(swept))
         self._conns: list = [None] * workers
         self._procs: list = [None] * workers
-        #: whether worker p holds the current pass's order array; a
-        #: respawn loses it, dropping p to explicit-shard rounds until
-        #: the next pass re-arms it
-        self._orders_ok = [False] * workers
-        #: master-side mirror of the bsp driver's sequential slicing of
-        #: each order — [lo, hi) of the next round window per worker
-        self._cursor = [0] * workers
         for p in range(workers):
             self._spawn(p)
         self._shm: shared_memory.SharedMemory | None = None
@@ -477,7 +450,6 @@ class _WorkerPool(ProposeBackend):
         self._directed = False
         self._state: dict[str, np.ndarray] = {}
         self._reply_caps = [0] * workers
-        self._state_dirty = True
         self._level = 0
         self._barrier = 0
         self._closed = False
@@ -502,7 +474,6 @@ class _WorkerPool(ProposeBackend):
 
     # ------------------------------------------------------- supervision
     def _spawn(self, p: int) -> None:
-        self._orders_ok[p] = False  # a fresh worker has no pass orders
         parent, child = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_worker_main, args=(child, p), daemon=True,
@@ -625,10 +596,7 @@ class _WorkerPool(ProposeBackend):
 
         Replay is safe and deterministic: the snapshot arrays in the
         arena are untouched until every shard of the round is gathered,
-        and propose is a pure function of (snapshot, shard).  Replays
-        always use the explicit-shard form — a respawned worker has no
-        pass orders (``_spawn`` drops its flag), and a compromised one
-        cannot be trusted with a window either.
+        and propose is a pure function of (snapshot, shard).
 
         Returns ``(verts, targets, wall_seconds)``; the arrays are
         copied out of the worker's arena reply buffer (the buffer is
@@ -640,7 +608,7 @@ class _WorkerPool(ProposeBackend):
                 msg = self._await_msg(p)
             except _WorkerFault as f:
                 self._recover(p, f.reason, f.detail)
-                self._conns[p].send(("roundv", shard, None))
+                self._conns[p].send(("round", shard, None))
                 continue
             if _tagged(msg, "error"):
                 raise RuntimeError(
@@ -651,7 +619,7 @@ class _WorkerPool(ProposeBackend):
                     p, "corrupt",
                     f"malformed round reply ({type(msg).__name__})",
                 )
-                self._conns[p].send(("roundv", shard, None))
+                self._conns[p].send(("round", shard, None))
                 continue
             count = msg[2]
             verts = np.array(self._state[f"reply_verts_{p}"][:count])
@@ -663,9 +631,7 @@ class _WorkerPool(ProposeBackend):
         )
 
     # ------------------------------------------------------------ hooks
-    def on_barrier(
-        self, level: int, pass_idx: int, round_idx: int, barrier: int
-    ) -> None:
+    def on_barrier(self, level: int, pass_idx: int, barrier: int) -> None:
         self._level = level
         self._barrier = barrier
         self._check_deadline()
@@ -687,7 +653,6 @@ class _WorkerPool(ProposeBackend):
             if name in skip or name.startswith("reply_"):
                 continue
             views[name][:] = getattr(net, name)
-        self._state_dirty = True  # fresh arena: snapshot views are unset
         old = self._shm
         # current-arena info first: a recovery during the ack wait must
         # rebind the fresh worker to *this* arena
@@ -703,46 +668,19 @@ class _WorkerPool(ProposeBackend):
             self._gather_bound(p)
         arena.release_arena(old)  # every worker has dropped the old arena
 
-    def on_pass_orders(self, core_orders) -> None:
-        """Ship each worker its whole pass order once.
-
-        Every subsequent round for worker ``p`` is then addressed as a
-        constant-size ``[lo, hi)`` window — the master's ``_cursor``
-        mirrors the bsp driver's sequential slicing exactly.  A worker
-        whose orders cannot be delivered (died at dispatch) is
-        recovered and left in explicit-shard mode for this pass.
-        """
-        self._cursor = [0] * self.workers
-        for p, order in enumerate(core_orders):
-            if len(order) == 0:
-                continue  # never dispatched this pass
-            if self._try_send(p, ("orders", order)):
-                self._orders_ok[p] = True
-            else:
-                self._recover(p, "died", "pipe broken at orders dispatch")
-
     def propose(self, shards, module, enter, exit_, flow):
         st = self._state
-        if self._state_dirty:
-            # snapshot state changed since last written (a commit
-            # landed, or the arena is fresh) — rewrite it for the
-            # workers.  Rounds after a rejected commit skip this O(n)
-            # write entirely.
-            st["module"][:] = module
-            st["enter"][:] = enter
-            st["exit"][:] = exit_
-            st["flow"][:] = flow
-            self._state_dirty = False
-            self.state_writes += 1
+        st["module"][:] = module
+        st["enter"][:] = enter
+        st["exit"][:] = exit_
+        st["flow"][:] = flow
+        self.state_writes += 1
         t0 = time.perf_counter()
         self.rounds += 1
         dispatched = []
         for p, shard in shards:
             if len(shard) == 0:
                 continue
-            lo = self._cursor[p]
-            hi = lo + len(shard)
-            self._cursor[p] = hi
             fault = None
             if self._injector is not None:
                 spec = self._injector.pop(p, self._barrier, self._level)
@@ -750,13 +688,9 @@ class _WorkerPool(ProposeBackend):
                     fault = spec.kind
                     log.info("injecting fault %s (barrier %d, level %d)",
                              spec, self._barrier, self._level)
-            msg = (
-                ("round", lo, hi, fault) if self._orders_ok[p]
-                else ("roundv", shard, fault)
-            )
-            if not self._try_send(p, msg):
+            if not self._try_send(p, ("round", shard, fault)):
                 self._recover(p, "died", "pipe broken at dispatch")
-                self._conns[p].send(("roundv", shard, None))
+                self._conns[p].send(("round", shard, None))
             dispatched.append((p, shard))
         verts_parts: list[np.ndarray] = []
         targ_parts: list[np.ndarray] = []
@@ -774,11 +708,6 @@ class _WorkerPool(ProposeBackend):
         if not verts_parts:
             return np.empty(0, np.int64), np.empty(0, np.int64)
         return np.concatenate(verts_parts), np.concatenate(targ_parts)
-
-    def on_commit(self, applied) -> None:
-        # only called when moves landed: the snapshot arrays the
-        # workers read are now stale and must be rewritten next round
-        self._state_dirty = True
 
     # ------------------------------------------------- multi-run lifecycle
     def reset_run(
@@ -810,9 +739,6 @@ class _WorkerPool(ProposeBackend):
         self.state_writes = 0
         self.respawns = 0
         self.faults_detected = {}
-        self._orders_ok = [False] * self.workers
-        self._cursor = [0] * self.workers
-        self._state_dirty = True
         for p in range(self.workers):
             proc = self._procs[p]
             if proc is None or not proc.is_alive():
@@ -898,7 +824,6 @@ def run_infomap_parallel(
     max_levels: int = 20,
     max_passes_per_level: int = 10,
     seed: int = 0,
-    chunk: int | None = None,
     start_method: str | None = None,
     fault_plan: FaultPlan | str | None = None,
     worker_timeout: float | None = None,
@@ -910,7 +835,7 @@ def run_infomap_parallel(
     """Run Infomap with ``workers`` supervised worker processes.
 
     Bit-identical to ``run_infomap_multicore(num_cores=workers)`` at
-    equal ``seed``/``chunk`` (both run the :mod:`repro.core.bsp`
+    equal ``seed`` (both run the :mod:`repro.core.bsp`
     schedule; only where the propose executes differs).  Deterministic
     for a fixed seed and worker count — **including under injected or
     real worker failures**: a worker that dies, hangs past the deadline,
@@ -925,10 +850,6 @@ def run_infomap_parallel(
         separate process.
     seed:
         Seeds the commit's conflict-backoff RNG.
-    chunk:
-        Round granularity (see :func:`repro.core.bsp.run_bsp_infomap`);
-        ``None`` — whole shards per round — keeps per-round IPC minimal
-        and is the default for both BSP engines.
     start_method:
         ``fork`` / ``spawn`` / ``forkserver``; defaults to ``fork`` where
         available, overridable via ``REPRO_MP_START``.
@@ -1000,7 +921,6 @@ def run_infomap_parallel(
                 tau=tau,
                 max_levels=max_levels,
                 max_passes_per_level=max_passes_per_level,
-                chunk=chunk,
                 recorder=recorder,
                 init_module=init_module,
                 init_active=init_active,

@@ -18,7 +18,7 @@ Keys are **content-addressed**, never identity-addressed:
   spelling (the same canonical form ``repro.graph.build`` applies when
   constructing a CSR, so a built graph is hashed as stored);
 * :func:`cache_key` appends the canonicalized result-determining
-  parameters (engine, workers, seed, tau, level/pass caps, chunk).
+  parameters (engine, workers, seed, tau, level/pass caps).
   Serving parameters (priority, deadline, fault plans) never reach the
   key — they cannot change a result.
 
@@ -87,10 +87,9 @@ def cache_key(spec: JobSpec) -> str:
     params, since it changes what the refresh warms from.
     """
     params = (
-        f"params/v3:engine={spec.engine}:workers={spec.workers}"
+        f"params/v4:engine={spec.engine}:workers={spec.workers}"
         f":seed={spec.seed}:tau={float(spec.tau)!r}"
         f":levels={spec.max_levels}:passes={spec.max_passes_per_level}"
-        f":chunk={spec.chunk}"
     )
     if spec.delta is not None:
         params += f":base={spec.base_key}"

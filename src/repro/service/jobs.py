@@ -2,11 +2,12 @@
 
 A :class:`JobSpec` is one community-detection request: a graph plus the
 engine parameters that determine its result (engine, workers, seed,
-tau, level/pass caps, chunk) and the serving parameters that determine
+tau, level/pass caps) and the serving parameters that determine
 how it is run (priority, deadline, cache participation, chaos plan).
 Specs are immutable and self-validating — :meth:`JobSpec.validate`
-raises ``ValueError`` with a human-readable reason, which the
-scheduler's admission control converts into a structured rejection
+raises ``ValueError`` with a human-readable reason, whatever type a
+field holds (a jobs file can put any JSON value in any of them), which
+the scheduler's admission control converts into a structured rejection
 instead of letting it escape a batch.
 
 A :class:`JobResult` is the *only* way the service reports an outcome:
@@ -19,13 +20,14 @@ job cannot take down a batch.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.faults import FaultPlan
 from repro.graph.csr import CSRGraph
-from repro.service.delta import Delta
+from repro.service.delta import Delta, _is_int
 
 __all__ = [
     "ENGINES",
@@ -49,14 +51,22 @@ STATUS_CANCELLED = "cancelled"
 STATUS_REJECTED = "rejected"
 
 
+def _is_real(x) -> bool:
+    """A finite real number (``true``/``false`` are not numbers)."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    # an int past the float range is finite; math.isfinite would overflow
+    return isinstance(x, numbers.Integral) or math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One community-detection request.
 
     Result-determining parameters (everything the cache key hashes):
     ``graph``, ``engine``, ``workers``, ``seed``, ``tau``,
-    ``max_levels``, ``max_passes_per_level``, ``chunk``, plus — for
-    delta jobs — ``delta`` and ``base_key``.  Serving
+    ``max_levels``, ``max_passes_per_level``, plus — for delta jobs —
+    ``delta`` and ``base_key``.  Serving
     parameters (never part of the cache key): ``priority``,
     ``deadline``, ``use_cache``, ``fault_plan``, ``worker_timeout``,
     ``label``.
@@ -69,7 +79,6 @@ class JobSpec:
     tau: float = 0.15
     max_levels: int = 20
     max_passes_per_level: int = 10
-    chunk: int | None = None
     #: higher runs first; ties break FIFO by submission order
     priority: int = 0
     #: wall-clock budget in seconds (``parallel`` only); a job past it
@@ -105,42 +114,45 @@ class JobSpec:
             raise ValueError(
                 f"unknown engine {self.engine!r}: choose from {ENGINES}"
             )
-        if not isinstance(self.workers, int) or self.workers < 1:
+        if not _is_int(self.workers) or self.workers < 1:
             raise ValueError("workers must be an int >= 1")
         if self.engine == "vectorized" and self.workers != 1:
             raise ValueError(
                 "engine 'vectorized' is single-rank: workers must be 1"
             )
-        if self.engine == "vectorized" and self.chunk is not None:
-            raise ValueError(
-                "engine 'vectorized' is single-rank: chunk must be None"
-            )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+        if not _is_int(self.seed):
             raise ValueError("seed must be an int")
-        if not isinstance(self.priority, int) \
-                or isinstance(self.priority, bool):
+        if not _is_int(self.priority):
             raise ValueError("priority must be an int")
-        if not (0.0 < self.tau < 1.0):
-            raise ValueError("tau must be in (0, 1)")
-        if self.max_levels < 1 or self.max_passes_per_level < 1:
-            raise ValueError(
-                "max_levels and max_passes_per_level must be >= 1"
-            )
-        if self.chunk is not None and self.chunk < 1:
-            raise ValueError("chunk must be >= 1 (or None for whole shards)")
+        if not (_is_real(self.tau) and 0.0 < self.tau < 1.0):
+            raise ValueError("tau must be a number in (0, 1)")
+        if not _is_int(self.max_levels) or self.max_levels < 1:
+            raise ValueError("max_levels must be an int >= 1")
+        if not _is_int(self.max_passes_per_level) \
+                or self.max_passes_per_level < 1:
+            raise ValueError("max_passes_per_level must be an int >= 1")
+        if not isinstance(self.use_cache, bool):
+            raise ValueError("use_cache must be true or false")
+        if not isinstance(self.label, str):
+            raise ValueError("label must be a string")
         if self.deadline is not None:
             if self.engine != "parallel":
                 raise ValueError(
                     "deadline requires engine 'parallel' (it is enforced "
                     "by the worker-pool supervision loop)"
                 )
-            if not (self.deadline > 0 and math.isfinite(self.deadline)):
+            if not (_is_real(self.deadline) and self.deadline > 0):
                 raise ValueError("deadline must be positive finite seconds")
         if self.fault_plan is not None:
             if self.engine != "parallel":
                 raise ValueError("fault_plan requires engine 'parallel'")
             if isinstance(self.fault_plan, str):
-                FaultPlan.parse(self.fault_plan, workers=self.workers)
+                try:
+                    FaultPlan.parse(self.fault_plan, workers=self.workers)
+                except OverflowError:  # a random plan past int64 cells
+                    raise ValueError(
+                        "fault_plan: too many workers for a random plan"
+                    ) from None
             elif not isinstance(self.fault_plan, FaultPlan):
                 raise ValueError(
                     "fault_plan must be a FaultPlan or its string spelling"
@@ -148,8 +160,10 @@ class JobSpec:
         if self.worker_timeout is not None:
             if self.engine != "parallel":
                 raise ValueError("worker_timeout requires engine 'parallel'")
-            if self.worker_timeout <= 0:
-                raise ValueError("worker_timeout must be positive seconds")
+            if not (_is_real(self.worker_timeout) and self.worker_timeout > 0):
+                raise ValueError(
+                    "worker_timeout must be positive finite seconds"
+                )
         if self.delta is not None:
             if not isinstance(self.delta, Delta):
                 raise ValueError(

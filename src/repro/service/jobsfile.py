@@ -56,7 +56,7 @@ __all__ = ["load_jobs", "append_job", "spec_fields_from_json"]
 #: graph-source keys, which are handled separately)
 _SPEC_KEYS = (
     "engine", "workers", "seed", "tau", "max_levels",
-    "max_passes_per_level", "chunk", "priority", "deadline",
+    "max_passes_per_level", "priority", "deadline",
     "use_cache", "fault_plan", "worker_timeout", "label", "delta",
     "base_key",
 )

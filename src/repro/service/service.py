@@ -243,7 +243,6 @@ class JobService:
             "tau": spec.tau,
             "max_levels": spec.max_levels,
             "max_passes_per_level": spec.max_passes_per_level,
-            "chunk": spec.chunk,
         }
         telemetry = {
             "status": result.status,
@@ -321,7 +320,6 @@ class JobService:
                 tau=spec.tau,
                 max_levels=spec.max_levels,
                 max_passes=spec.max_passes_per_level,
-                chunk=spec.chunk,
                 pool=pool,
                 deadline=spec.deadline,
                 worker_timeout=spec.worker_timeout,
@@ -364,7 +362,6 @@ class JobService:
                     max_levels=spec.max_levels,
                     max_passes_per_level=spec.max_passes_per_level,
                     seed=spec.seed,
-                    chunk=spec.chunk,
                     fault_plan=spec.fault_plan,
                     worker_timeout=spec.worker_timeout,
                     pool=pool,
@@ -380,7 +377,6 @@ class JobService:
                     tau=spec.tau,
                     max_levels=spec.max_levels,
                     max_passes_per_level=spec.max_passes_per_level,
-                    chunk=spec.chunk,
                     seed=spec.seed,
                 )
             else:  # vectorized (admission already validated the engine)

@@ -51,7 +51,7 @@ def test_doc_group_shorthand_expands(check_docs):
             "service.jobs.cancelled", "service.jobs.rejected"} <= names
     assert {"service.cache.hits", "service.cache.misses",
             "service.cache.evictions"} <= names
-    # the new chunked-round gauges are catalogued
+    # the parallel engine's round gauges are catalogued
     assert {"parallel.rounds", "parallel.state_writes"} <= names
 
 

@@ -108,13 +108,11 @@ class TestDynamicBasics:
             DynamicCommunities(4, engine="sequential")
         with pytest.raises(ValueError):
             DynamicCommunities(4, engine="vectorized", workers=2)
-        with pytest.raises(ValueError, match="single-rank"):
-            DynamicCommunities(4, engine="vectorized", chunk=3)
         with pytest.raises(ValueError):
             DynamicCommunities(4, full_rerun_threshold=0.0)
         g, truth = ring_of_cliques(3, 4)
         with pytest.raises(ValueError, match="single-rank"):
-            warm_refresh(g, truth, [0], engine="vectorized", chunk=3)
+            warm_refresh(g, truth, [0], engine="vectorized", workers=2)
 
 
 class TestIncrementalRefresh:

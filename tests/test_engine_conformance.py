@@ -269,16 +269,6 @@ def test_one_multilevel_driver():
     assert owners("for level in range(max_levels)") == {"bsp.py", "infomap.py"}
 
 
-def test_parallel_bit_identical_with_chunked_rounds():
-    # chunked shards exercise multi-round passes (several barriers per
-    # pass) — the commit order must still match the simulated engine
-    g, _ = _undirected(5)
-    rm = run_infomap_multicore(g, num_cores=2, seed=5, chunk=16)
-    rp = run_infomap_parallel(g, workers=2, seed=5, chunk=16)
-    assert np.array_equal(rp.modules, rm.modules)
-    assert rp.codelength == rm.codelength
-
-
 # ---------------------------------------------------------------------------
 # shard-restriction parity: best_moves(verts=S) == full sweep filtered to S
 

@@ -281,43 +281,18 @@ def test_injector_is_one_shot_and_level_aware():
 
 
 # ---------------------------------------------------------------------------
-# chunked-commit-round protocol: order windows, replay fallback, dirty skip
-
-
-def test_kill_mid_pass_with_chunked_rounds_bit_identical():
-    """A respawned worker loses its pass orders mid-pass.
-
-    With ``chunk`` small enough for several rounds per pass, a kill at
-    an inner round forces the recovery path onto explicit-shard
-    (``roundv``) messages for the rest of that pass while the other
-    worker keeps using ``[lo, hi)`` windows — the mixed protocol must
-    still commit the identical stream.
-    """
-    g, _ = FAMILIES["undirected"](SEED)
-    base = run_infomap_parallel(g, workers=WORKERS, seed=SEED, chunk=7)
-    barriers = sum(p.rounds for p in base.passes)
-    assert barriers >= 3, "need a multi-round schedule for this test"
-    for b in range(1, barriers, 2):  # every other inner barrier
-        r = run_infomap_parallel(
-            g, workers=WORKERS, seed=SEED, chunk=7,
-            fault_plan=FaultPlan((FaultSpec("kill", worker=0, barrier=b),)),
-            worker_timeout=TIMEOUT,
-        )
-        _assert_recovered(r, base, ("chunked", "kill", b))
-        assert r.respawns >= 1
+# round accounting: one propose round per pass, one state write per round
 
 
 def test_round_accounting_and_dirty_state_skip():
-    """``rounds`` counts barriers; ``state_writes`` stays well below it.
+    """``rounds`` counts barriers; every round writes the snapshot once.
 
-    The dirty-flag skip means the O(n) snapshot rewrite happens only on
-    a fresh arena or after an accepted commit — a multi-round pass with
-    rejected/empty rounds must not pay it per round.
+    Each pass is one propose round over each worker's whole order, and
+    every round follows a fresh arena or an accepted commit (a pass
+    that moves nothing ends its level), so there is no unchanged
+    snapshot to skip: ``state_writes`` equals ``rounds``.
     """
     g, _ = FAMILIES["undirected"](SEED)
-    r = run_infomap_parallel(g, workers=WORKERS, seed=SEED, chunk=7)
-    assert r.rounds == sum(p.rounds for p in r.passes)
-    assert 1 <= r.state_writes <= r.rounds
-    # chunked schedules always have idle rounds (convergence passes and
-    # rejected commits); the skip must actually fire
-    assert r.state_writes < r.rounds
+    r = run_infomap_parallel(g, workers=WORKERS, seed=SEED)
+    assert all(p.rounds == 1 for p in r.passes)
+    assert r.rounds == sum(p.rounds for p in r.passes) == r.state_writes

@@ -233,7 +233,7 @@ class TestAdmission:
         got = _by_id(rows)
         assert "priority must be an int" in got["badpriority"]["error"]
         assert "['accumulator']" in got["accumulator"]["error"]
-        assert "single-rank" in got["vecchunk"]["error"]
+        assert "['chunk']" in got["vecchunk"]["error"]
         for rid in ("nosource", "unknownkey", "badtau", "badpriority",
                     "accumulator", "vecchunk"):
             assert got[rid]["status"] == "rejected"

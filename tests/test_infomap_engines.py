@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.core.flow import FlowNetwork
 from repro.core.infomap import run_infomap
 from repro.core.multicore import run_infomap_multicore
 from repro.core.vectorized import run_infomap_vectorized
 from repro.graph.build import from_edges
 from repro.graph.generators import planted_partition, ring_of_cliques
 from repro.quality.nmi import normalized_mutual_information
+
+from tests.test_property_invariants import _partition_codelength
 
 
 def _aligned(modules, truth):
@@ -122,6 +125,25 @@ class TestSequentialEngine:
         assert np.array_equal(a.modules, b.modules)  # seeded => reproducible
         c = run_infomap(g, shuffle_seed=2)
         assert normalized_mutual_information(c.modules, truth) > 0.9
+
+
+@pytest.mark.parametrize("max_levels", [1, 2, 3])
+@pytest.mark.parametrize("engine", ["sequential", "multicore"])
+def test_level_cap_modules_match_codelength(engine, max_levels):
+    """Whether convergence or the level cap ends the run, the returned
+    modules encode at the returned codelength: the map equation
+    recomputed from them on the original graph agrees."""
+    g, _ = planted_partition(8, 30, 0.3, 0.01, seed=3)
+    if engine == "sequential":
+        r = run_infomap(g, max_levels=max_levels)
+    else:
+        r = run_infomap_multicore(g, max_levels=max_levels)
+    assert r.levels <= max_levels
+    assert set(np.unique(r.modules)) == set(range(r.num_modules))
+    oracle = _partition_codelength(
+        FlowNetwork.from_graph(g), r.modules, r.num_modules
+    )
+    assert oracle == pytest.approx(r.codelength, abs=1e-9)
 
 
 class TestVectorizedEngine:

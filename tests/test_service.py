@@ -19,9 +19,14 @@ bottom on a generated jobs file — the same flow CI runs.
 """
 
 import json
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import arena
 from repro.core.parallel import run_infomap_parallel
@@ -35,7 +40,7 @@ from repro.service import (
     JobSpec,
     Scheduler,
 )
-from repro.service.jobsfile import load_jobs
+from repro.service.jobsfile import _SPEC_KEYS, load_jobs
 
 from tests.test_engine_conformance import FAMILIES
 
@@ -248,16 +253,21 @@ def test_invalid_spec_rejected_without_poisoning_batch():
                 JobSpec(graph=g, engine="vectorized", workers=1, seed=0),
                 JobSpec(graph=g, engine="vectorized", workers=4),  # invalid
                 JobSpec(graph=g, engine="parallel", workers=2, seed=0),
+                # a jobs file can put any JSON value in a numeric field:
+                # a comparison would raise TypeError, a float cap would
+                # fail range() at run time
+                JobSpec(graph=g, engine="vectorized", workers=1, tau="x"),
                 JobSpec(graph=g, engine="vectorized", workers=1,
-                        chunk=4),  # invalid: vectorized takes no chunk
+                        max_levels=2.5),
             ]
         )
     assert [r.status for r in results] == [
-        STATUS_COMPLETED, STATUS_REJECTED, STATUS_COMPLETED, STATUS_REJECTED
+        STATUS_COMPLETED, STATUS_REJECTED, STATUS_COMPLETED,
+        STATUS_REJECTED, STATUS_REJECTED,
     ]
     assert "single-rank" in results[1].error
-    assert "single-rank" in results[3].error
-    assert "chunk" in results[3].error
+    assert "tau" in results[3].error
+    assert "max_levels must be an int" in results[4].error
 
 
 @pytest.mark.parametrize("priority", ["x", None, 1.5])
@@ -269,6 +279,75 @@ def test_non_int_priority_is_rejected_not_raised(priority):
                                       workers=1, priority=priority)])
     assert r.status == STATUS_REJECTED
     assert "priority must be an int" in r.error
+
+
+#: any JSON value: null, bools, ints past int64, floats (±0.0, inf and
+#: NaN, which Python's json reads and writes), strings — among them the
+#: spellings the fields really take — and nested arrays and objects
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(2**70), 2**70),
+        st.floats(),
+        st.text(max_size=8),
+        st.sampled_from(["parallel", "multicore", "vectorized",
+                         "kill@w0:b1", "random:3:2", "random:3"]),
+    ),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_SPEC_VALUES = st.one_of(
+    _JSON_VALUES,
+    st.sampled_from([[["add", 0, 5, 2.0]], [["remove", 0, 1]]]),  # deltas
+)
+_TINY_PLANTED = {"communities": 2, "size": 6, "p_in": 0.8, "p_out": 0.1,
+                 "seed": 1}
+
+
+def _complete_without_running(self, spec, result):
+    """Stand-in for the engine run: the property is about admission, and
+    a drawn worker count would fork that many processes."""
+    result.status = STATUS_COMPLETED
+    result.modules = np.zeros(spec.graph.num_vertices, dtype=np.int64)
+    result.num_modules, result.codelength, result.levels = 1, 0.0, 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(
+    st.dictionaries(st.sampled_from(_SPEC_KEYS), _SPEC_VALUES),
+    min_size=1, max_size=4,
+))
+def test_any_jobs_line_is_admitted_or_rejected_with_value_error(lines):
+    """A jobs line with a valid graph and any JSON value under any spec
+    keys loads (``spec_fields_from_json`` → ``JobSpec``) and validates,
+    or raises ``ValueError`` — never a ``TypeError`` from a comparison —
+    and a batch of such specs comes back as one result per spec."""
+    specs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, fields in enumerate(lines):
+            path = os.path.join(tmp, f"{i}.jsonl")
+            with open(path, "w") as fh:
+                fh.write(json.dumps({"planted": _TINY_PLANTED, **fields}))
+            try:  # a malformed delta is a file-level shape error
+                (spec,) = load_jobs(path)
+            except ValueError:
+                continue
+            try:
+                spec.validate()
+            except ValueError:
+                pass
+            specs.append(spec)
+    with mock.patch.object(JobService, "_run_engine",
+                           _complete_without_running), \
+            mock.patch.object(JobService, "_run_delta",
+                              _complete_without_running), \
+            JobService() as svc:
+        results = svc.run_batch(specs)
+    assert sorted(r.job_id for r in results) == list(range(len(specs)))
+    assert {r.status for r in results} <= {STATUS_COMPLETED,
+                                           STATUS_REJECTED}
 
 
 def test_cancel_queued_job_before_drain():
@@ -343,6 +422,7 @@ def test_malformed_delta_line_fails_fast_with_line_number(
          '"p_in": 0.1, "p_out": 0.1}', "bad 'planted' recipe"),
         ('"dataset": "amazon", "accumulator": "reduceat"',
          "unknown key(s) ['accumulator']"),
+        ('"dataset": "amazon", "chunk": 4', "unknown key(s) ['chunk']"),
         ('"edge_list": 5', "'edge_list' must be a path string"),
         ('"edges": {"arcs": [[1.9, 2]]}', "integer u and v"),
         ('"edges": {"arcs": [[0, 1]], "directed": "no"}',
@@ -355,7 +435,7 @@ def test_malformed_delta_line_fails_fast_with_line_number(
     ],
     ids=["unknown-dataset", "vertex-id-past-int64",
          "num-vertices-past-int64", "num-vertices-unallocatable",
-         "planted-unallocatable", "accumulator-key",
+         "planted-unallocatable", "accumulator-key", "chunk-key",
          "edge-list-not-a-path", "float-vertex-id",
          "edges-directed-not-bool", "edge-list-directed-not-bool",
          "dataset-not-a-string", "planted-list-value"],

@@ -21,9 +21,9 @@ digests as its canonical rebuild.  A refactor cannot silently re-key
 the cache or the ledger.
 
 :func:`repro.service.cache.cache_key` must split the same way on
-parameters: result-determining fields (engine/workers/seed/tau/caps/
-chunk) change the key, serving fields (priority/deadline/label/cache
-opt-out) never do.
+parameters: result-determining fields (engine/workers/seed/tau/caps)
+change the key, serving fields (priority/deadline/label/cache opt-out)
+never do.
 
 The chaos half injects ``kill`` faults (``repro.core.faults``) through
 the *service* path and asserts the supervised recovery that PR 4 proved
@@ -220,7 +220,6 @@ def _spec(**kw):
         {"tau": 0.2},
         {"max_levels": 3},
         {"max_passes_per_level": 4},
-        {"chunk": 8},
     ],
     ids=lambda c: "+".join(c),
 )
@@ -250,21 +249,21 @@ def test_cache_key_equality_tracks_seed_equality(seed_a, seed_b):
     assert same == (seed_a == seed_b)
 
 
-#: (spec, its key under params/v3) on the "planted" golden graph — a
+#: (spec, its key under params/v4) on the "planted" golden graph — a
 #: change here re-keys every cache entry, so rendezvous routing and
 #: every warm-start base_key move with it
 GOLDEN_KEYS = {
     "plain": (
         lambda: _spec(),
         "a5e9a5d91b675ff033c5bcdbd4b931c8eed3224a8517a4990209be17a5d59b8b"
-        "/f5260fa41e3561f96b97b923fa7a9d8c0e5df72dca1f4d5ae7057baeb68e3c60",
+        "/5a8424a0caa403690f02f8363de2a26b650da37ea37b7217c284e892e7d01550",
     ),
     "delta": (
         lambda: _spec(delta=Delta.from_json([["add", 0, 29, 2.0],
                                              ["remove", 0, 1]])),
         "a5e9a5d91b675ff033c5bcdbd4b931c8eed3224a8517a4990209be17a5d59b8b"
         "+2476d5ec993b0eaafc69a6e09a21ee111f8e68004568c7f946aedcce40e0357b"
-        "/6f86945684949434d70b361891d1ed4d5858a2163c93f3a6802b78d1d73d6145",
+        "/8100d1a7a9fbc442aacb7aea3a0e0d64d3ff8b7a6f9bf2c8addfe4b5d0afc36f",
     ),
 }
 
