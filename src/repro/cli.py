@@ -9,7 +9,8 @@ Usage (after install)::
     python -m repro run --dataset orkut --engine parallel --workers 4
     python -m repro run --surrogate rmat_1m --engine parallel --workers 4 \
         --ledger runs.jsonl                 # streamed paper-scale surrogate
-    python -m repro run --edge-list my.txt --backend softhash --cores 4
+    python -m repro run --edge-list my.txt --engine multicore --workers 4 \
+        --backend softhash                  # per-core hardware accounting
     python -m repro run --dataset amazon --trace out.trace.json \
         --metrics-out metrics.json --log-level debug
     python -m repro trace-view out.trace.json   # self-time breakdown
@@ -52,8 +53,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core.infomap import run_infomap
-from repro.core.multicore import run_infomap_multicore
+from repro.core.infomap import BSP_ENGINES, ENGINE_OPTIONS, ENGINES, run_infomap
 from repro.graph.datasets import TABLE1_ORDER, load_dataset
 from repro.graph.io import read_edge_list
 from repro.graph.stream import recipe_names as stream_recipe_names
@@ -98,10 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument(
         "--backend", default="plain",
         choices=("plain", "softhash", "robinhood", "asa"),
+        help="accumulator of the engines with hardware accounting "
+        "(--engine sequential|multicore); any other backend than the "
+        "uninstrumented 'plain' is rejected for the batched engines",
     )
     runp.add_argument(
-        "--engine", default="sequential",
-        choices=("sequential", "vectorized", "multicore", "parallel"),
+        "--engine", default="sequential", choices=ENGINES,
         help="'sequential' = instrumented engine with hardware accounting; "
         "'vectorized' = batched numpy fast path (no accounting, much "
         "faster wall clock on large graphs); 'multicore' = BSP schedule "
@@ -109,12 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'parallel' = the same schedule on --workers real worker "
         "processes over shared memory (bit-identical partitions to "
         "multicore at equal worker count)",
-    )
-    runp.add_argument(
-        "--cores", type=int, default=1,
-        help="legacy spelling: with the default engine, >1 switches to "
-        "the simulated multicore engine (prefer --engine multicore "
-        "--workers N)",
     )
     runp.add_argument(
         "--workers", type=int, default=None, metavar="N",
@@ -211,8 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
                       '\'{"communities": 4, "size": 20, "p_in": 0.45, '
                       '"p_out": 0.02, "seed": 7}\'')
     smt.add_argument("--directed", action="store_true")
-    smt.add_argument("--engine", default="parallel",
-                     choices=("vectorized", "multicore", "parallel"))
+    smt.add_argument("--engine", default="parallel", choices=BSP_ENGINES)
     smt.add_argument("--workers", type=int, default=None, metavar="N")
     smt.add_argument("--seed", type=int, default=0)
     smt.add_argument("--tau", type=float, default=None)
@@ -334,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate_run_args(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> None:
-    """Reject incoherent --engine / --workers / --cores combinations
-    with a proper argparse usage error (exit code 2).
+    """Reject incoherent --engine / --backend / --workers / --fault-plan
+    combinations with a proper argparse usage error (exit code 2).
 
     This runs from :func:`main` *before* :func:`_cmd_run` touches the
     graph source, so a bad combination is rejected before a dataset is
@@ -353,34 +348,22 @@ def _validate_run_args(
             "--directed applies to --edge-list input; "
             "surrogate recipes fix their own orientation"
         )
-    if args.workers is not None:
-        if args.engine not in ("multicore", "parallel"):
+    given = {
+        # 'plain', the default, asks for no accounting: every engine runs it
+        "backend": args.backend if args.backend != "plain" else None,
+        "workers": args.workers,
+        "fault_plan": args.fault_plan,
+        "worker_timeout": args.worker_timeout,
+    }
+    for option, value in given.items():
+        if value is not None and args.engine not in ENGINE_OPTIONS[option]:
             parser.error(
-                f"--workers requires --engine multicore or parallel "
+                f"--{option.replace('_', '-')} requires --engine "
+                f"{' or '.join(ENGINE_OPTIONS[option])} "
                 f"(got --engine {args.engine})"
             )
-        if args.workers < 1:
-            parser.error("--workers must be >= 1")
-        if args.cores != 1:
-            parser.error("--cores and --workers are mutually exclusive")
-    if args.cores != 1 and args.engine != "sequential":
-        parser.error(
-            f"--cores only applies to the default engine; "
-            f"use --workers with --engine {args.engine}"
-        )
-    if args.cores < 1:
-        parser.error("--cores must be >= 1")
-    if args.engine != "parallel":
-        if args.fault_plan is not None:
-            parser.error(
-                f"--fault-plan requires --engine parallel "
-                f"(got --engine {args.engine})"
-            )
-        if args.worker_timeout is not None:
-            parser.error(
-                f"--worker-timeout requires --engine parallel "
-                f"(got --engine {args.engine})"
-            )
+    if args.workers is not None and args.workers < 1:
+        parser.error("--workers must be >= 1")
     if args.worker_timeout is not None and args.worker_timeout <= 0:
         parser.error("--worker-timeout must be positive seconds")
     if args.fault_plan is not None:
@@ -510,16 +493,35 @@ def _run_on_graph(
           f"{graph.num_edges} edges)")
     t_start = time.perf_counter()
 
-    def _ledger_record(r) -> None:
-        """One content-addressed record per ``repro run --ledger`` run."""
-        if not obs_ledger.is_enabled():
-            return
+    # --backend defaults to 'plain'; the batched engines take no backend
+    takes_backend = args.engine in ENGINE_OPTIONS["backend"]
+    r = run_infomap(
+        graph, engine=args.engine, workers=args.workers, tau=args.tau,
+        backend=args.backend if takes_backend else None,
+        fault_plan=args.fault_plan, worker_timeout=args.worker_timeout,
+    )
+    if args.engine == "multicore":
+        print(f"{r.num_modules} modules, L={r.codelength:.4f} bits, "
+              f"{r.levels} levels on {r.num_cores} simulated cores")
+    else:
+        print(r.summary())
+    if args.fault_plan is not None:
+        injected = sum(r.faults_injected.values())
+        print(f"fault plan '{args.fault_plan}': {injected} fault(s) "
+              f"fired, {r.respawns} worker respawn(s); partition is "
+              f"bit-identical to the fault-free run at this seed")
+    if r.telemetry is not None:
+        print(r.telemetry.summary())
+    if obs_ledger.is_enabled():
+        # one content-addressed record per ``repro run --ledger`` run
         config = {
             "command": "run",
             "graph": digest or obs_ledger.graph_digest(graph),
             "engine": args.engine,
             "backend": args.backend,
-            "workers": args.workers or args.cores,
+            # the count the engine ran, its default included
+            "workers": getattr(r, "num_workers", None)
+            or getattr(r, "num_cores", 1),
             "tau": args.tau,
         }
         perf = {"wall_seconds": time.perf_counter() - t_start}
@@ -537,55 +539,18 @@ def _run_on_graph(
             perf=perf,
             label=graph.name,
         ))
-    if args.engine in ("vectorized", "parallel"):
-        if args.backend != "plain":
-            print(f"--engine {args.engine} has no hardware accounting; "
-                  "ignoring --backend", file=sys.stderr)
-        if args.engine == "vectorized":
-            r = run_infomap(graph, engine="vectorized", tau=args.tau)
-        else:
-            r = run_infomap(
-                graph, engine="parallel", workers=args.workers, tau=args.tau,
-                fault_plan=args.fault_plan,
-                worker_timeout=args.worker_timeout,
-            )
-        print(r.summary())
-        if args.fault_plan is not None:
-            injected = sum(r.faults_injected.values())
-            print(f"fault plan '{args.fault_plan}': {injected} fault(s) "
-                  f"fired, {r.respawns} worker respawn(s); partition is "
-                  f"bit-identical to the fault-free run at this seed")
-        if r.telemetry is not None:
-            print(r.telemetry.summary())
-        _ledger_record(r)
-        sizes = np.bincount(r.modules)
-        sizes = np.sort(sizes[sizes > 0])[::-1]
-        print(f"Module sizes: largest {sizes[:5].tolist()}, median "
-              f"{int(np.median(sizes))}, total {len(sizes)}")
-        return 0
-    if args.engine == "multicore":
-        args.cores = args.workers or 2
-    if args.cores == 1 and args.engine == "sequential":
-        r = run_infomap(graph, backend=args.backend, tau=args.tau)
-        print(r.summary())
-        stats = r.stats
-        cm = r.cycle_model()
-    else:
-        r = run_infomap_multicore(
-            graph, num_cores=args.cores, backend=args.backend, tau=args.tau
-        )
-        print(f"{r.num_modules} modules, L={r.codelength:.4f} bits, "
-              f"{r.levels} levels on {r.num_cores} simulated cores")
-        stats = r.per_core_stats[0]
-        for ks in r.per_core_stats[1:]:
-            stats = _merge_stats(stats, ks)
-        cm = r.cycle_model()
-
-    if r.telemetry is not None:
-        print(r.telemetry.summary())
-    _ledger_record(r)
 
     if args.backend != "plain":
+        # only the instrumented engines get here (_validate_run_args)
+        if args.engine == "multicore":
+            from repro.sim.counters import KernelStats
+
+            stats = KernelStats()
+            for ks in r.per_core_stats:
+                stats.add(ks)
+        else:
+            stats = r.stats
+        cm = r.cycle_model()
         t = Table("Hardware accounting", ["Metric", "Value"])
         total = stats.total
         fb = stats.findbest
@@ -605,19 +570,9 @@ def _run_on_graph(
     if getattr(args, "report", False) and args.backend != "plain":
         from repro.sim.report import hardware_report
 
-        machine = r.machine if hasattr(r, "machine") else None
         print()
-        print(hardware_report(stats, machine, label=graph.name))
+        print(hardware_report(stats, r.machine, label=graph.name))
     return 0
-
-
-def _merge_stats(a, b):
-    from repro.sim.counters import KernelStats
-
-    out = KernelStats()
-    out.add(a)
-    out.add(b)
-    return out
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

@@ -12,10 +12,11 @@ Mirrors the four HyPC-Map kernels (Section II-C):
 
 Engines:
 
-* :func:`repro.core.infomap.run_infomap` — the single entry point:
-  sequential instrumented engine (one simulated core, full hardware
-  accounting) by default, or the batched numpy fast path via
-  ``engine="vectorized"``;
+* :func:`repro.core.infomap.run_infomap` — the single entry point and
+  the only engine-name switch: the sequential instrumented engine (one
+  simulated core, full hardware accounting) by default, or any engine
+  below via ``engine=`` (the job service, warm refreshes and the CLI
+  all go through it);
 * :func:`repro.core.vectorized.run_infomap_vectorized` — the batched
   engine behind ``engine="vectorized"``: the shared BSP schedule on one
   in-process shard, with whole-sweep segment-sum accumulation

@@ -224,7 +224,6 @@ class ProposeBackend:
                 end_pass() -> sim seconds | None
             on_update_members(mapping, dense) -> mapping
             coarsen(net, dense, k, ws) -> coarser net
-        close()
 
     Only :meth:`propose` is mandatory; the accounting hooks default to
     no-ops so the parallel engine implements nothing but the propose.
@@ -293,9 +292,6 @@ class ProposeBackend:
     def metrics_kwargs(self) -> dict:
         """Extra key/values for :func:`publish_run_metrics`."""
         return {}
-
-    def close(self) -> None:
-        pass
 
 
 class InprocessSweep(ProposeBackend):

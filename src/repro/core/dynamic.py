@@ -9,8 +9,9 @@ local re-optimization**, and :func:`warm_refresh` is the module-level entry
 point the serving layer's delta jobs call directly.
 
 The refresh runs on the engines, not beside them.  A warm refresh is one
-run of the shared BSP schedule (:func:`repro.core.bsp.run_bsp_infomap`)
-with two warm-start inputs:
+:func:`repro.core.infomap.run_infomap` call on a BSP engine — one run of
+the shared schedule (:func:`repro.core.bsp.run_bsp_infomap`) — with two
+warm-start inputs:
 
 * ``init_module`` — the previous assignment with every *dirty* vertex
   (an endpoint of a changed edge) re-seeded as its own singleton.
@@ -49,24 +50,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.bsp import InprocessSweep, run_bsp_infomap
+from repro.core.infomap import BSP_ENGINES, run_infomap
 from repro.graph.build import from_edge_array
 from repro.graph.csr import CSRGraph
 from repro.obs import ledger as obs_ledger
 from repro.obs import metrics as obs_metrics
 
 __all__ = [
-    "DYNAMIC_ENGINES",
     "DEFAULT_FULL_RERUN_THRESHOLD",
     "DynamicCommunities",
     "RefreshResult",
     "dirty_frontier",
     "warm_refresh",
 ]
-
-#: engines a refresh may run on — the three batched engines (the
-#: instrumented sequential engine has no shard-restricted batch sweep)
-DYNAMIC_ENGINES = ("vectorized", "multicore", "parallel")
 
 #: fall back to a full from-scratch run when the dirty frontier covers
 #: more than this share of the vertices (measured: past ~1/4 of V the
@@ -115,9 +111,10 @@ def dirty_frontier(graph: CSRGraph, dirty: np.ndarray) -> np.ndarray:
 
 
 def _validate_refresh_params(engine: str, workers: int) -> None:
-    if engine not in DYNAMIC_ENGINES:
+    # the instrumented sequential engine has no shard-restricted sweep
+    if engine not in BSP_ENGINES:
         raise ValueError(
-            f"unknown engine {engine!r}: choose from {DYNAMIC_ENGINES}"
+            f"unknown engine {engine!r}: choose from {BSP_ENGINES}"
         )
     if not isinstance(workers, int) or workers < 1:
         raise ValueError("workers must be an int >= 1")
@@ -161,9 +158,9 @@ def warm_refresh(
         Dirty-frontier share of the vertex set past which the warm
         start is abandoned for the engine's standard from-scratch run.
     pool / deadline / worker_timeout:
-        Forwarded to :func:`repro.core.parallel.run_infomap_parallel`
-        (``engine="parallel"`` only) — how the serving layer runs
-        refreshes on its warm worker pools.
+        ``engine="parallel"`` only (see
+        :func:`repro.core.infomap.run_infomap`) — how the serving layer
+        runs refreshes on its warm worker pools.
     """
     _validate_refresh_params(engine, workers)
     if not (0.0 < full_rerun_threshold <= 1.0):
@@ -196,9 +193,13 @@ def warm_refresh(
         _, seeded = np.unique(seeded, return_inverse=True)
         seeded = seeded.astype(np.int64)
         touched = len(frontier)
-    r = _run(
-        graph, engine, workers, seed, tau, max_levels, max_passes,
-        pool, deadline, worker_timeout, seeded, frontier,
+    # the full-rerun fallback passes neither warm-start input: the
+    # engine's cold schedule
+    r = run_infomap(
+        graph, engine=engine, workers=workers, shuffle_seed=seed, tau=tau,
+        max_levels=max_levels, max_passes_per_level=max_passes,
+        pool=pool, deadline=deadline, worker_timeout=worker_timeout,
+        init_module=seeded, init_active=frontier,
     )
     seconds = time.perf_counter() - t0
 
@@ -217,37 +218,6 @@ def warm_refresh(
         graph, engine, workers, seed, tau, max_levels, max_passes, result,
     )
     return result
-
-
-def _run(
-    graph, engine, workers, seed, tau, max_levels, max_passes,
-    pool, deadline, worker_timeout, init_module, init_active,
-):
-    """One BSP run on ``engine``: warm-started from ``init_module`` /
-    ``init_active``, or the engine's cold schedule when both are
-    ``None`` (the full-rerun fallback)."""
-    if engine == "parallel":
-        from repro.core.parallel import run_infomap_parallel
-
-        return run_infomap_parallel(
-            graph, workers=workers, tau=tau, max_levels=max_levels,
-            max_passes_per_level=max_passes, seed=seed,
-            pool=pool, deadline=deadline, worker_timeout=worker_timeout,
-            init_module=init_module, init_active=init_active,
-        )
-    if engine == "multicore":
-        from repro.core.multicore import run_infomap_multicore
-
-        return run_infomap_multicore(
-            graph, num_cores=workers, tau=tau, max_levels=max_levels,
-            max_passes_per_level=max_passes, seed=seed,
-            init_module=init_module, init_active=init_active,
-        )
-    return run_bsp_infomap(
-        graph, InprocessSweep(), 1, seed=seed, tau=tau,
-        max_levels=max_levels, max_passes_per_level=max_passes,
-        init_module=init_module, init_active=init_active,
-    )
 
 
 def _publish_refresh(result: RefreshResult) -> None:

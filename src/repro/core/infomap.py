@@ -45,7 +45,14 @@ from repro.util.rng import make_rng
 
 log = get_logger("core.infomap")
 
-__all__ = ["run_infomap", "InfomapResult", "IterationRecord"]
+__all__ = [
+    "ENGINES",
+    "BSP_ENGINES",
+    "ENGINE_OPTIONS",
+    "run_infomap",
+    "InfomapResult",
+    "IterationRecord",
+]
 
 #: HyPC-Map runs its PageRank kernel by power iteration regardless of
 #: directedness (Section II-C).  For undirected networks our flow model is
@@ -130,16 +137,40 @@ class InfomapResult:
         )
 
 
+#: the engines :func:`run_infomap` runs.  ``sequential`` is the
+#: instrumented one-core engine; the others run the shared BSP schedule
+#: (:mod:`repro.core.bsp`) and are what job specs and warm refreshes take
+ENGINES = ("sequential", "vectorized", "multicore", "parallel")
+BSP_ENGINES = ENGINES[1:]
+
+#: :func:`run_infomap`'s engine-specific options -> the engines that take
+#: them (every engine takes ``tau``, ``max_levels`` and ``shuffle_seed``);
+#: an option given a value the chosen engine does not take is an error
+ENGINE_OPTIONS = {
+    "backend": ("sequential", "multicore"),
+    "machine": ("sequential", "multicore"),
+    "max_passes_per_level": ENGINES,
+    "worklist": ("sequential",),
+    "accumulator_kwargs": ("sequential",),
+    "workers": ("multicore", "parallel"),
+    "fault_plan": ("parallel",),
+    "worker_timeout": ("parallel",),
+    "pool": ("parallel",),
+    "deadline": ("parallel",),
+    "init_module": BSP_ENGINES,
+    "init_active": BSP_ENGINES,
+}
+
+
 def run_infomap(
     graph: CSRGraph,
-    backend: str = "plain",
+    backend: str | None = None,
     machine: MachineConfig | None = None,
-    ctx: HardwareContext | None = None,
     tau: float = 0.15,
     max_levels: int = 20,
-    max_passes_per_level: int = 10,
+    max_passes_per_level: int | None = None,
     shuffle_seed: int | None = None,
-    worklist: bool = True,
+    worklist: bool | None = None,
     accumulator_kwargs: dict | None = None,
     engine: str = "sequential",
     workers: int | None = None,
@@ -147,20 +178,25 @@ def run_infomap(
     worker_timeout: float | None = None,
     pool=None,
     deadline: float | None = None,
+    init_module: np.ndarray | None = None,
+    init_active: np.ndarray | None = None,
 ):
     """Run multilevel Infomap on ``graph`` — the single engine entry point.
+
+    Every engine-specific option defaults to ``None``, meaning the chosen
+    engine's own default.  A value given for an option the engine does
+    not take (:data:`ENGINE_OPTIONS`) raises ``ValueError``; every other
+    value reaches the engine unchanged.
 
     Parameters
     ----------
     engine:
         ``"sequential"`` (default) runs the instrumented one-core engine
         with full hardware accounting and returns an
-        :class:`InfomapResult`.  ``"vectorized"`` dispatches to the
-        batched numpy fast path
-        (:func:`repro.core.vectorized.run_infomap_vectorized`: the
-        ``multicore``/``parallel`` barrier-synchronous schedule on one
-        in-process shard, at its own default of 30 passes per level,
-        not ``max_passes_per_level``) and returns a
+        :class:`InfomapResult`.  ``"vectorized"`` runs the batched numpy
+        fast path (:func:`repro.core.vectorized.run_infomap_vectorized`:
+        the ``multicore``/``parallel`` barrier-synchronous schedule on
+        one in-process shard) and returns a
         :class:`~repro.core.vectorized.VectorizedResult` — no hardware
         accounting, but 1–2 orders of magnitude faster wall clock,
         which is what the CLI and harness want on large graphs.
@@ -177,130 +213,121 @@ def run_infomap(
         differ slightly across *schedules* (sequential vs batched).
     workers:
         Core/worker count for the ``multicore`` and ``parallel`` engines
-        (default 2).  Rejected for the single-core engines.
+        (default 2).  The single-rank engines accept only ``1``.
+    max_passes_per_level:
+        FindBestCommunity pass cap per level: 10 by default, 30 on
+        ``vectorized``.
     fault_plan, worker_timeout:
-        ``parallel`` engine only (rejected elsewhere): a
+        ``parallel`` engine only: a
         :class:`repro.core.faults.FaultPlan` (or its string spelling)
         injecting worker failures, and the supervisor's reply deadline
         in seconds.  See :func:`repro.core.parallel.run_infomap_parallel`.
     pool, deadline:
-        ``parallel`` engine only (rejected elsewhere), the serving
+        ``parallel`` engine only, the serving
         hooks: a warm worker pool to run on instead of forking a fresh
         one (borrowed, never closed; see
         :func:`repro.core.parallel.run_infomap_parallel`), and a
         wall-clock budget in seconds after which the run is cancelled
         with :class:`repro.core.parallel.DeadlineExceeded`.  The job
         service (:mod:`repro.service`) drives runs through these.
+    init_module, init_active:
+        BSP engines only: the warm-start assignment and level 0's
+        first-pass restriction (see
+        :func:`repro.core.bsp.run_bsp_infomap`) — how
+        :func:`repro.core.dynamic.warm_refresh` runs.
     backend:
         ``"plain"`` (uninstrumented dict), ``"softhash"`` (the paper's
-        Baseline), or ``"asa"``.  Instrumented engines (``sequential``,
-        ``multicore``) only: the batched engines perform the paper's
-        hash accumulation as whole-sweep numpy segment sums instead of
-        per-vertex :class:`~repro.accum.base.Accumulator` calls.
+        Baseline), ``"robinhood"`` or ``"asa"``.  Instrumented engines
+        only: ``sequential`` (default ``"plain"``) and ``multicore``
+        (default ``"softhash"``); the batched engines perform the
+        paper's hash accumulation as whole-sweep numpy segment sums
+        instead of per-vertex :class:`~repro.accum.base.Accumulator`
+        calls.
     machine:
-        Machine configuration; defaults to the Table II Baseline machine
-        (ASA-augmented when ``backend == "asa"``).
-    ctx:
-        Externally owned core context (the multicore engine passes one per
-        core); created internally by default.
+        Instrumented engines only: the machine configuration; defaults
+        to the Table II Baseline machine (ASA-augmented when
+        ``backend == "asa"``).
     shuffle_seed:
         When given, vertices are visited in a seeded random order per pass
         instead of natural order.  For the batch-synchronous engines
         (``vectorized``, ``multicore``, ``parallel``) this seeds the
-        conflict-backoff RNG instead.
-    worklist:
-        HyPC-Map's active-set optimization: after the first pass, only
-        vertices adjacent to a move are revisited.  Successive iterations
-        get progressively cheaper (the decaying per-iteration runtimes of
-        Tables III/IV).  Disable to sweep every vertex every pass.
+        conflict-backoff RNG instead (default 0).
+    worklist, accumulator_kwargs:
+        ``sequential`` only.  ``worklist`` (default on) is HyPC-Map's
+        active-set optimization: after the first pass, only vertices
+        adjacent to a move are revisited, so successive iterations get
+        progressively cheaper (the decaying per-iteration runtimes of
+        Tables III/IV); ``False`` sweeps every vertex every pass.
+        ``accumulator_kwargs`` configure the backend's accumulator.
 
     Returns
     -------
     InfomapResult | VectorizedResult | MulticoreResult | ParallelResult
         Per the ``engine`` choice; all expose ``modules``,
-        ``num_modules``, ``codelength``, and ``telemetry``.
+        ``num_modules``, ``codelength``, ``levels`` and ``telemetry``.
     """
-    if workers is not None and engine not in ("multicore", "parallel"):
-        raise ValueError(
-            f"workers= applies to the 'multicore' and 'parallel' engines, "
-            f"not {engine!r}"
-        )
-    if (fault_plan is not None or worker_timeout is not None) \
-            and engine != "parallel":
-        raise ValueError(
-            f"fault_plan= and worker_timeout= apply to the 'parallel' "
-            f"engine only, not {engine!r}"
-        )
-    if (pool is not None or deadline is not None) and engine != "parallel":
-        raise ValueError(
-            f"pool= and deadline= apply to the 'parallel' engine only, "
-            f"not {engine!r}"
-        )
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}: choose from {ENGINES}")
+    if workers == 1 and engine not in ENGINE_OPTIONS["workers"]:
+        workers = None  # a single-rank engine runs one rank
+    options = {
+        "backend": backend, "machine": machine,
+        "max_passes_per_level": max_passes_per_level,
+        "worklist": worklist, "accumulator_kwargs": accumulator_kwargs,
+        "workers": workers, "fault_plan": fault_plan,
+        "worker_timeout": worker_timeout, "pool": pool,
+        "deadline": deadline, "init_module": init_module,
+        "init_active": init_active,
+    }
+    given = {k: v for k, v in options.items() if v is not None}
+    for name in given:
+        if engine not in ENGINE_OPTIONS[name]:
+            raise ValueError(
+                f"{name}= does not apply to engine {engine!r} (only to "
+                f"{', '.join(ENGINE_OPTIONS[name])})"
+            )
+    if engine == "sequential":
+        backend = given.pop("backend", "plain")
+        with trace_span("infomap.run", engine="sequential", backend=backend):
+            return _run_infomap(
+                graph, backend, tau, max_levels, shuffle_seed, **given
+            )
+    seed = shuffle_seed if shuffle_seed is not None else 0
     if engine == "vectorized":
         from repro.core.vectorized import run_infomap_vectorized
 
         return run_infomap_vectorized(
-            graph,
-            tau=tau,
-            max_levels=max_levels,
-            seed=shuffle_seed if shuffle_seed is not None else 0,
+            graph, tau=tau, max_levels=max_levels, seed=seed, **given
         )
     if engine == "multicore":
         from repro.core.multicore import run_infomap_multicore
 
+        if "workers" in given:
+            given["num_cores"] = given.pop("workers")
         return run_infomap_multicore(
-            graph,
-            num_cores=workers if workers is not None else 2,
-            backend=backend if backend != "plain" else "softhash",
-            machine=machine,
-            tau=tau,
-            max_levels=max_levels,
-            max_passes_per_level=max_passes_per_level,
-            seed=shuffle_seed if shuffle_seed is not None else 0,
+            graph, tau=tau, max_levels=max_levels, seed=seed, **given
         )
-    if engine == "parallel":
-        from repro.core.parallel import run_infomap_parallel
+    from repro.core.parallel import run_infomap_parallel
 
-        return run_infomap_parallel(
-            graph,
-            workers=workers if workers is not None else 2,
-            tau=tau,
-            max_levels=max_levels,
-            max_passes_per_level=max_passes_per_level,
-            seed=shuffle_seed if shuffle_seed is not None else 0,
-            fault_plan=fault_plan,
-            worker_timeout=worker_timeout,
-            pool=pool,
-            deadline=deadline,
-        )
-    if engine != "sequential":
-        raise ValueError(
-            f"unknown engine {engine!r}: choose 'sequential', 'vectorized', "
-            f"'multicore', or 'parallel'"
-        )
-    with trace_span("infomap.run", engine="sequential", backend=backend):
-        return _run_infomap(
-            graph, backend, machine, ctx, tau, max_levels,
-            max_passes_per_level, shuffle_seed, worklist, accumulator_kwargs,
-        )
+    return run_infomap_parallel(
+        graph, tau=tau, max_levels=max_levels, seed=seed, **given
+    )
 
 
 def _run_infomap(
     graph: CSRGraph,
     backend: str,
-    machine: MachineConfig | None,
-    ctx: HardwareContext | None,
     tau: float,
     max_levels: int,
-    max_passes_per_level: int,
     shuffle_seed: int | None,
-    worklist: bool,
-    accumulator_kwargs: dict | None,
+    machine: MachineConfig | None = None,
+    max_passes_per_level: int = 10,
+    worklist: bool = True,
+    accumulator_kwargs: dict | None = None,
 ) -> InfomapResult:
     if machine is None:
         machine = asa_machine() if backend == "asa" else baseline_machine()
-    if ctx is None:
-        ctx = HardwareContext(machine)
+    ctx = HardwareContext(machine)
 
     recorder = TelemetryRecorder("sequential", backend=backend)
     stats = KernelStats()

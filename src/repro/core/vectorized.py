@@ -589,6 +589,8 @@ def run_infomap_vectorized(
     max_levels: int = 20,
     max_passes_per_level: int = 30,
     seed: int = 0,
+    init_module: np.ndarray | None = None,
+    init_active: np.ndarray | None = None,
 ) -> VectorizedResult:
     """Run the batch-synchronous multilevel Infomap in-process.
 
@@ -614,6 +616,10 @@ def run_infomap_vectorized(
     seed:
         Seed for the conflict-backoff RNG (results are deterministic for
         a fixed seed).
+    init_module / init_active:
+        Warm-start assignment and first-pass restriction for level 0
+        (see :func:`repro.core.bsp.run_bsp_infomap`) — the incremental
+        recompute path of :mod:`repro.core.dynamic`.
     """
     # bsp imports this module's Workspace, so it is imported here
     from repro.core.bsp import InprocessSweep, run_bsp_infomap
@@ -622,6 +628,7 @@ def run_infomap_vectorized(
         out = run_bsp_infomap(
             graph, InprocessSweep(), 1, seed=seed, tau=tau,
             max_levels=max_levels, max_passes_per_level=max_passes_per_level,
+            init_module=init_module, init_active=init_active,
         )
     return VectorizedResult(
         modules=out.modules,

@@ -29,6 +29,7 @@ distinct under weight/seed/engine changes.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import threading
 from collections import OrderedDict
@@ -41,7 +42,13 @@ from repro.graph.csr import CSRGraph, canonical_rows
 from repro.obs import metrics as obs_metrics
 from repro.service.jobs import JobSpec
 
-__all__ = ["graph_digest", "cache_key", "CacheEntry", "ResultCache"]
+__all__ = [
+    "graph_digest",
+    "cache_key",
+    "base_cache_key",
+    "CacheEntry",
+    "ResultCache",
+]
 
 
 def graph_digest(graph: CSRGraph) -> str:
@@ -98,6 +105,18 @@ def cache_key(spec: JobSpec) -> str:
             f"/{hashlib.sha256(params.encode()).hexdigest()}"
         )
     return f"{graph_digest(spec.graph)}/{hashlib.sha256(params.encode()).hexdigest()}"
+
+
+def base_cache_key(spec: JobSpec) -> str:
+    """Cache key of the partition a delta job warm-starts from.
+
+    An explicit ``base_key`` pins it; otherwise it is derived: the key of
+    this spec as a plain job, i.e. minus its delta.  The gateway routes
+    a delta job by it and the service looks its base up by it.
+    """
+    if spec.base_key is not None:
+        return spec.base_key
+    return cache_key(dataclasses.replace(spec, delta=None, base_key=None))
 
 
 @dataclass(frozen=True)

@@ -78,7 +78,7 @@ import numpy as np
 
 from repro.obs import metrics as obs_metrics
 from repro.obs.logging import get_logger
-from repro.service.cache import cache_key
+from repro.service.cache import base_cache_key, cache_key
 from repro.service.delta import Delta
 from repro.service.jobs import STATUS_REJECTED, JobResult, JobSpec
 from repro.service.jobsfile import _GraphResolver, spec_fields_from_json
@@ -529,9 +529,7 @@ class Gateway:
         routes by its own cache key.
         """
         if spec.delta is not None:
-            return spec.base_key or cache_key(
-                dataclasses.replace(spec, delta=None, base_key=None)
-            )
+            return base_cache_key(spec)
         return cache_key(spec)
 
     def _bucket(self, tenant: str) -> TokenBucket:

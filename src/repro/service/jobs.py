@@ -26,11 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.faults import FaultPlan
+from repro.core.infomap import BSP_ENGINES as ENGINES
 from repro.graph.csr import CSRGraph
 from repro.service.delta import Delta, _is_int
 
 __all__ = [
     "ENGINES",
+    "MAX_WORKERS",
     "STATUS_PENDING",
     "STATUS_COMPLETED",
     "STATUS_FAILED",
@@ -40,9 +42,9 @@ __all__ = [
     "JobResult",
 ]
 
-#: engines a job may request; ``parallel`` is the one the warm pools
-#: amortize (the others are single-rank and have no fork cost to skip)
-ENGINES = ("vectorized", "multicore", "parallel")
+#: most workers one job may ask for: ``parallel`` forks that many
+#: processes and ``multicore`` builds that many simulated cores
+MAX_WORKERS = 64
 
 STATUS_PENDING = "pending"
 STATUS_COMPLETED = "completed"
@@ -114,8 +116,8 @@ class JobSpec:
             raise ValueError(
                 f"unknown engine {self.engine!r}: choose from {ENGINES}"
             )
-        if not _is_int(self.workers) or self.workers < 1:
-            raise ValueError("workers must be an int >= 1")
+        if not _is_int(self.workers) or not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers must be an int in [1, {MAX_WORKERS}]")
         if self.engine == "vectorized" and self.workers != 1:
             raise ValueError(
                 "engine 'vectorized' is single-rank: workers must be 1"

@@ -36,12 +36,19 @@ from __future__ import annotations
 import time
 import traceback
 
-from repro.core.parallel import DeadlineExceeded, run_infomap_parallel
+from repro.core.dynamic import warm_refresh
+from repro.core.infomap import run_infomap
+from repro.core.parallel import DeadlineExceeded
 from repro.obs import ledger as obs_ledger
 from repro.obs import metrics as obs_metrics
 from repro.obs.logging import get_logger
 from repro.obs.spans import trace_span
-from repro.service.cache import CacheEntry, ResultCache, cache_key
+from repro.service.cache import (
+    CacheEntry,
+    ResultCache,
+    base_cache_key,
+    cache_key,
+)
 from repro.service.jobs import (
     STATUS_CANCELLED,
     STATUS_COMPLETED,
@@ -201,10 +208,8 @@ class JobService:
                 result.codelength = entry.codelength
                 result.levels = entry.levels
                 result.cache_hit = True
-            elif spec.delta is not None:
-                self._run_delta(spec, result)
             else:
-                self._run_engine(spec, result)
+                self._run_job(spec, result)
             if result.ok and key is not None and not result.cache_hit:
                 self.cache.put(
                     key,
@@ -275,29 +280,22 @@ class JobService:
         )
         obs_ledger.get_ledger().append(record)
 
-    def _run_delta(self, spec: JobSpec, result: JobResult) -> None:
-        """Execute a delta job: incremental refresh of base graph + delta.
+    def _run_job(self, spec: JobSpec, result: JobResult) -> None:
+        """Execute ``spec`` on its engine, reporting into ``result``.
 
-        The warm partition comes from the ResultCache: an explicit
-        ``base_key`` that misses rejects the job structurally (the
-        caller pinned a warm source that does not exist), while the
-        derived key — the cache key of this spec minus its delta —
-        falls back to a full from-scratch run of the updated graph when
-        it misses, recorded as ``full_rerun`` in the result.
+        A plain job is one :func:`~repro.core.infomap.run_infomap` call.
+        A delta job is one :func:`~repro.core.dynamic.warm_refresh` of
+        base graph + delta from the base partition in the ResultCache:
+        an explicit ``base_key`` that misses rejects the job
+        structurally (the caller pinned a warm source that does not
+        exist), while the derived key — the cache key of this spec minus
+        its delta — falls back to a full from-scratch run of the updated
+        graph when it misses, recorded as ``full_rerun`` in the result.
         """
-        import dataclasses
-
-        from repro.core.dynamic import warm_refresh
-
-        base_key = spec.base_key
-        if base_key is None:
-            base_key = cache_key(
-                dataclasses.replace(spec, delta=None, base_key=None)
-            )
-            base = self.cache.get(base_key)
-        else:
-            base = self.cache.get(base_key)
-            if base is None:
+        base = None
+        if spec.delta is not None:
+            base = self.cache.get(base_cache_key(spec))
+            if base is None and spec.base_key is not None:
                 result.status = STATUS_REJECTED
                 result.error = (
                     f"unknown base_key {spec.base_key!r}: no cached base "
@@ -305,89 +303,28 @@ class JobService:
                 )
                 return
         try:
-            updated = spec.delta.apply(spec.graph)
+            graph = spec.graph
+            if spec.delta is not None:
+                graph = spec.delta.apply(graph)
             pool = None
             if spec.engine == "parallel":
-                pool, warm = self.pools.acquire(spec.workers)
-                result.warm_pool = warm
-            r = warm_refresh(
-                updated,
-                base.modules if base is not None else None,
-                spec.delta.dirty_vertices(),
-                engine=spec.engine,
-                workers=spec.workers,
-                seed=spec.seed,
-                tau=spec.tau,
-                max_levels=spec.max_levels,
-                max_passes=spec.max_passes_per_level,
-                pool=pool,
-                deadline=spec.deadline,
-                worker_timeout=spec.worker_timeout,
+                pool, result.warm_pool = self.pools.acquire(spec.workers)
+            params = dict(
+                engine=spec.engine, workers=spec.workers, tau=spec.tau,
+                max_levels=spec.max_levels, pool=pool,
+                deadline=spec.deadline, worker_timeout=spec.worker_timeout,
             )
-        except DeadlineExceeded as exc:
-            result.status = STATUS_CANCELLED
-            result.error = f"deadline of {spec.deadline}s exceeded ({exc})"
-            self._count("service.deadline_cancellations")
-        except Exception as exc:
-            result.status = STATUS_FAILED
-            result.error = f"{type(exc).__name__}: {exc}"
-            log.error(
-                "job %d failed:\n%s", result.job_id, traceback.format_exc()
-            )
-            if spec.engine == "parallel":
-                try:
-                    self.pools.discard(spec.workers)
-                except Exception:  # pragma: no cover - defensive
-                    log.error("pool discard failed:\n%s",
-                              traceback.format_exc())
-        else:
-            result.status = STATUS_COMPLETED
-            result.modules = r.modules
-            result.num_modules = int(r.num_modules)
-            result.codelength = float(r.codelength)
-            result.levels = int(r.levels)
-            result.touched_vertices = int(r.touched_vertices)
-            result.full_rerun = bool(r.full_rerun)
-
-    def _run_engine(self, spec: JobSpec, result: JobResult) -> None:
-        """Execute ``spec`` on its engine, reporting into ``result``."""
-        try:
-            if spec.engine == "parallel":
-                pool, warm = self.pools.acquire(spec.workers)
-                result.warm_pool = warm
-                r = run_infomap_parallel(
-                    spec.graph,
-                    workers=spec.workers,
-                    tau=spec.tau,
-                    max_levels=spec.max_levels,
+            if spec.delta is None:
+                r = run_infomap(
+                    graph, shuffle_seed=spec.seed,
                     max_passes_per_level=spec.max_passes_per_level,
-                    seed=spec.seed,
-                    fault_plan=spec.fault_plan,
-                    worker_timeout=spec.worker_timeout,
-                    pool=pool,
-                    deadline=spec.deadline,
+                    fault_plan=spec.fault_plan, **params,
                 )
-                result.respawns = r.respawns
-            elif spec.engine == "multicore":
-                from repro.core.multicore import run_infomap_multicore
-
-                r = run_infomap_multicore(
-                    spec.graph,
-                    num_cores=spec.workers,
-                    tau=spec.tau,
-                    max_levels=spec.max_levels,
-                    max_passes_per_level=spec.max_passes_per_level,
-                    seed=spec.seed,
-                )
-            else:  # vectorized (admission already validated the engine)
-                from repro.core.vectorized import run_infomap_vectorized
-
-                r = run_infomap_vectorized(
-                    spec.graph,
-                    tau=spec.tau,
-                    max_levels=spec.max_levels,
-                    max_passes_per_level=spec.max_passes_per_level,
-                    seed=spec.seed,
+            else:
+                r = warm_refresh(
+                    graph, base.modules if base is not None else None,
+                    spec.delta.dirty_vertices(), seed=spec.seed,
+                    max_passes=spec.max_passes_per_level, **params,
                 )
         except DeadlineExceeded as exc:
             # the pool already restored itself (abort_run inside the
@@ -416,6 +353,10 @@ class JobService:
             result.num_modules = int(r.num_modules)
             result.codelength = float(r.codelength)
             result.levels = int(r.levels)
+            result.respawns = getattr(r, "respawns", 0)
+            if spec.delta is not None:
+                result.touched_vertices = int(r.touched_vertices)
+                result.full_rerun = bool(r.full_rerun)
 
     # ---------------------------------------------------------- heartbeat
     def heartbeat(self) -> dict:

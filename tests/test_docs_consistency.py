@@ -8,13 +8,19 @@ docs job minutes later.
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
+import io
+import re
+import shlex
 import sys
 from pathlib import Path
 
 import pytest
 
-_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+_ROOT = Path(__file__).resolve().parent.parent
+_TOOLS = _ROOT / "tools"
+_COMMAND = re.compile(r"^\s*python -m repro\s")
 
 
 def _load(name: str):
@@ -88,3 +94,40 @@ def test_unknown_dynamic_metric_name_is_an_error(check_docs, monkeypatch,
     monkeypatch.setattr(check_docs, "_FSTRING_EXPANSIONS", {})
     assert check_docs.main([]) == 1
     assert "_FSTRING_EXPANSIONS" in capsys.readouterr().err
+
+
+def _doc_commands() -> list[tuple[str, str]]:
+    """Every ``python -m repro …`` line of README.md and docs/*.md, as
+    ``(file:line, command)`` with backslash continuations joined."""
+    found = []
+    for path in [_ROOT / "README.md", *sorted((_ROOT / "docs").glob("*.md"))]:
+        lines = enumerate(path.read_text().splitlines(), 1)
+        for lineno, line in lines:
+            if not _COMMAND.match(line):
+                continue
+            while line.rstrip().endswith("\\"):
+                line = line.rstrip()[:-1] + " " + next(lines)[1]
+            found.append((f"{path.name}:{lineno}", line.strip()))
+    return found
+
+
+def test_documented_cli_commands_parse():
+    """Every documented ``python -m repro`` command parses, and a ``run``
+    also passes the CLI's engine/flag checks; nothing is executed."""
+    from repro.cli import _validate_run_args, build_parser
+
+    commands = _doc_commands()
+    assert len(commands) >= 30, commands  # the collector sees the docs
+    bad = []
+    for where, command in commands:
+        argv = shlex.split(command, comments=True)[3:]
+        parser = build_parser()
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err):
+                args = parser.parse_args(argv)
+                if args.command == "run":
+                    _validate_run_args(parser, args)
+        except SystemExit:
+            bad.append(f"{where}: {command}\n    {err.getvalue().strip()}")
+    assert not bad, "\n".join(bad)

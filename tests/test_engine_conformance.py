@@ -390,6 +390,66 @@ def test_workers_rejected_for_single_rank_engines():
             run_infomap(g, engine=engine, workers=2)
 
 
+def test_single_rank_engines_accept_one_worker():
+    g, _ = _undirected(0)
+    for engine in ("sequential", "vectorized"):
+        assert np.array_equal(
+            run_infomap(g, engine=engine, workers=1).modules,
+            run_infomap(g, engine=engine).modules,
+        )
+
+
+def test_explicit_options_reach_the_engine():
+    """An explicit value reaches the engine unchanged: the pass cap on
+    ``vectorized`` (not its 30-pass default), the ``plain`` backend on
+    ``multicore`` (not softhash), per-core hardware counters included."""
+    g, _ = _undirected(1)
+    via = run_infomap(g, engine="vectorized", max_passes_per_level=1)
+    direct = run_infomap_vectorized(g, max_passes_per_level=1)
+    assert np.array_equal(via.modules, direct.modules)
+    assert (via.codelength, via.levels, via.rounds) == (
+        direct.codelength, direct.levels, direct.rounds)
+
+    via = run_infomap(g, engine="multicore", workers=2, backend="plain")
+    direct = run_infomap_multicore(g, num_cores=2, backend="plain")
+    assert np.array_equal(via.modules, direct.modules)
+    assert via.codelength == direct.codelength
+    assert via.backend == direct.backend == "plain"
+    assert via.per_core_stats == direct.per_core_stats
+
+
+@pytest.mark.parametrize("engine, option", [
+    ("vectorized", {"backend": "asa"}),
+    ("parallel", {"backend": "asa"}),
+    ("parallel", {"machine": object()}),
+    ("sequential", {"init_active": np.arange(3)}),
+])
+def test_option_the_engine_does_not_take_is_rejected(engine, option):
+    g, _ = _undirected(0)
+    (name,) = option
+    with pytest.raises(ValueError, match=name):
+        run_infomap(g, engine=engine, **option)
+
+
+def test_engines_entered_only_through_run_infomap():
+    """One engine-name switch: inside ``src`` only ``run_infomap`` (and
+    the harness's figure studies, which read each engine's own result
+    type) call the engine entry points."""
+    import ast
+
+    entries = {"run_infomap_vectorized", "run_infomap_multicore",
+               "run_infomap_parallel"}
+    src = Path(__file__).resolve().parent.parent / "src" / "repro"
+    callers = set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)
+            ) in entries:
+                callers.add(path.relative_to(src).as_posix())
+    assert callers == {"core/infomap.py", "harness/experiments.py"}
+
+
 def test_unknown_engine_names_all_four():
     g, _ = _undirected(0)
     with pytest.raises(ValueError, match="parallel"):

@@ -225,17 +225,24 @@ class TestAdmission:
             await client.send({**_vec_line(g, 0, id="accumulator"),
                                "accumulator": "reduceat"})
             await client.send(_vec_line(g, 0, id="vecchunk", chunk=4))
+            # a worker count past the bound is refused before any pool
+            await client.send(_vec_line(g, 0, id="manycores",
+                                        engine="multicore", workers=10**5))
+            await client.send(_vec_line(g, 0, id="manyworkers",
+                                        engine="parallel", workers=2**62))
             await client.send(_vec_line(g, 0, id="ok"))
             return await client.drain_to_eof()
 
         rows, gw = gw_run(_drive, shards=2)
-        assert len(rows) == 8
+        assert len(rows) == 10
         got = _by_id(rows)
         assert "priority must be an int" in got["badpriority"]["error"]
         assert "['accumulator']" in got["accumulator"]["error"]
         assert "['chunk']" in got["vecchunk"]["error"]
+        for rid in ("manycores", "manyworkers"):
+            assert "workers must be an int in [1, 64]" in got[rid]["error"]
         for rid in ("nosource", "unknownkey", "badtau", "badpriority",
-                    "accumulator", "vecchunk"):
+                    "accumulator", "vecchunk", "manycores", "manyworkers"):
             assert got[rid]["status"] == "rejected"
             assert got[rid]["reject"] == REJECT_INVALID
             assert got[rid]["error"]

@@ -108,10 +108,12 @@ class TestCLI:
         path = tmp_path / "ring.txt"
         write_edge_list(g, path)
         assert main(
-            ["run", "--edge-list", str(path), "--backend", "asa", "--cores", "2"]
+            ["run", "--edge-list", str(path), "--engine", "multicore",
+             "--workers", "2", "--backend", "asa"]
         ) == 0
         out = capsys.readouterr().out
         assert "2 simulated cores" in out
+        assert "Hash-op time" in out
 
     def test_experiment_command(self, capsys):
         assert main(["experiment", "table2"]) == 0
@@ -149,6 +151,29 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "2 workers" in out
         assert "Module sizes" in out
+
+    @pytest.mark.parametrize("engine", ["parallel", "multicore"])
+    def test_run_ledger_records_worker_count_run(self, engine, tmp_path,
+                                                 capsys):
+        """``config.workers`` is the count the engine ran, its default of
+        2 included, so a default run is keyed apart from ``--workers 1``."""
+        import json
+
+        from repro.graph.io import write_edge_list
+
+        g, _ = ring_of_cliques(4, 5)
+        path = tmp_path / "ring.txt"
+        write_edge_list(g, path)
+        rows = {}
+        for name, extra in (("default", []), ("one", ["--workers", "1"])):
+            ledger = tmp_path / f"{name}.jsonl"
+            assert main(["run", "--edge-list", str(path), "--engine", engine,
+                         *extra, "--ledger", str(ledger)]) == 0
+            rows[name] = json.loads(ledger.read_text().splitlines()[0])
+        capsys.readouterr()
+        assert rows["default"]["config"]["workers"] == 2
+        assert rows["one"]["config"]["workers"] == 1
+        assert rows["default"]["run_key"] != rows["one"]["run_key"]
 
     def test_invalid_experiment_rejected(self):
         with pytest.raises(SystemExit):
@@ -221,24 +246,26 @@ class TestCLI:
         ["run", "--dataset", "amazon", "--workers", "2"],
         ["run", "--dataset", "amazon", "--engine", "vectorized",
          "--workers", "2"],
-        # --cores is the legacy sequential-engine spelling only
+        # --backend needs an engine with hardware accounting
+        ["run", "--dataset", "amazon", "--engine", "vectorized",
+         "--backend", "asa"],
         ["run", "--dataset", "amazon", "--engine", "parallel",
-         "--cores", "2"],
-        ["run", "--dataset", "amazon", "--engine", "multicore",
-         "--cores", "2"],
-        # mutually exclusive / out of range
-        ["run", "--dataset", "amazon", "--engine", "multicore",
-         "--workers", "2", "--cores", "2"],
+         "--backend", "softhash"],
+        # the multicore engine is spelled --engine multicore --workers N
+        ["run", "--dataset", "amazon", "--cores", "2"],
+        # out of range / parallel-only
         ["run", "--dataset", "amazon", "--engine", "parallel",
          "--workers", "0"],
-        ["run", "--dataset", "amazon", "--cores", "0"],
+        ["run", "--dataset", "amazon", "--engine", "multicore",
+         "--fault-plan", "kill@w0:b1"],
     ])
     def test_invalid_engine_worker_combos_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2  # argparse usage error
-        err = capsys.readouterr().err
-        assert "--workers" in err or "--cores" in err
+        # the error names the flag given last, the one rejected
+        flag = [a for a in argv if a.startswith("--")][-1]
+        assert flag in capsys.readouterr().err
 
 
 class TestCLIObservability:

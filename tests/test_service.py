@@ -40,6 +40,7 @@ from repro.service import (
     JobSpec,
     Scheduler,
 )
+from repro.service.jobs import MAX_WORKERS
 from repro.service.jobsfile import _SPEC_KEYS, load_jobs
 
 from tests.test_engine_conformance import FAMILIES
@@ -162,9 +163,11 @@ def test_generous_deadline_does_not_perturb_result():
 
 
 def test_engine_crash_reports_failed_and_next_job_runs(monkeypatch):
+    import repro.service.service as service_mod
+
     g = _graph()
     calls = {"n": 0}
-    real = run_infomap_parallel
+    real = service_mod.run_infomap
 
     def flaky(*args, **kwargs):
         calls["n"] += 1
@@ -172,9 +175,7 @@ def test_engine_crash_reports_failed_and_next_job_runs(monkeypatch):
             raise RuntimeError("synthetic engine crash")
         return real(*args, **kwargs)
 
-    import repro.service.service as service_mod
-
-    monkeypatch.setattr(service_mod, "run_infomap_parallel", flaky)
+    monkeypatch.setattr(service_mod, "run_infomap", flaky)
     with JobService(cache_entries=0) as svc:
         crashed, after = svc.run_batch(
             [
@@ -188,7 +189,7 @@ def test_engine_crash_reports_failed_and_next_job_runs(monkeypatch):
         # the untrusted pool was discarded, so the retry forked fresh
         assert not after.warm_pool
     assert np.array_equal(
-        after.modules, real(g, workers=2, seed=0).modules
+        after.modules, run_infomap_parallel(g, workers=2, seed=0).modules
     )
 
 
@@ -259,15 +260,24 @@ def test_invalid_spec_rejected_without_poisoning_batch():
                 JobSpec(graph=g, engine="vectorized", workers=1, tau="x"),
                 JobSpec(graph=g, engine="vectorized", workers=1,
                         max_levels=2.5),
+                # one line must not fork or simulate without bound; the
+                # bound is checked before a random fault plan is drawn
+                JobSpec(graph=g, engine="multicore", workers=10**5),
+                JobSpec(graph=g, engine="parallel", workers=2**62),
+                JobSpec(graph=g, engine="parallel", workers=10**5,
+                        fault_plan="random:1:100000"),
             ]
         )
     assert [r.status for r in results] == [
         STATUS_COMPLETED, STATUS_REJECTED, STATUS_COMPLETED,
         STATUS_REJECTED, STATUS_REJECTED,
+        STATUS_REJECTED, STATUS_REJECTED, STATUS_REJECTED,
     ]
     assert "single-rank" in results[1].error
     assert "tau" in results[3].error
     assert "max_levels must be an int" in results[4].error
+    for r in results[5:]:
+        assert f"workers must be an int in [1, {MAX_WORKERS}]" in r.error
 
 
 @pytest.mark.parametrize("priority", ["x", None, 1.5])
@@ -339,10 +349,8 @@ def test_any_jobs_line_is_admitted_or_rejected_with_value_error(lines):
             except ValueError:
                 pass
             specs.append(spec)
-    with mock.patch.object(JobService, "_run_engine",
+    with mock.patch.object(JobService, "_run_job",
                            _complete_without_running), \
-            mock.patch.object(JobService, "_run_delta",
-                              _complete_without_running), \
             JobService() as svc:
         results = svc.run_batch(specs)
     assert sorted(r.job_id for r in results) == list(range(len(specs)))
