@@ -8,7 +8,7 @@ milliseconds — the methodology hardware papers use for cache studies.
 
 Usage::
 
-    trace = record_trace(graph)                    # one plain-backend run
+    trace = record_trace(graph)                    # one sequential run
     stats = replay_trace(trace, capacity=512)      # any number of configs
 """
 
@@ -20,6 +20,8 @@ import numpy as np
 
 from repro.accum.plain import PlainDictAccumulator
 from repro.asa.cam import CAM
+from repro.core.flow import FlowNetwork
+from repro.core.infomap import _run_levels
 from repro.graph.csr import CSRGraph
 
 __all__ = ["AccumulationTrace", "TraceRecordingAccumulator", "record_trace",
@@ -72,40 +74,20 @@ class TraceRecordingAccumulator(PlainDictAccumulator):
         return super().items()
 
 
-def record_trace(graph: CSRGraph, **infomap_kwargs) -> AccumulationTrace:
-    """Run Infomap once with a recording backend; return the trace."""
-    from repro.core.findbest import find_best_pass
-
+def record_trace(
+    graph: CSRGraph,
+    *,
+    tau: float = 0.15,
+    max_levels: int = 20,
+    max_passes_per_level: int = 10,
+) -> AccumulationTrace:
+    """Run the sequential engine's level loop once with a recording
+    accumulator; return the trace."""
     recorder = TraceRecordingAccumulator()
-    # replicate the engine's multilevel loop with the recording backend
-    from repro.core.flow import FlowNetwork
-    from repro.core.partition import Partition
-    from repro.core.supernode import convert_to_supernodes
-    from repro.sim.context import HardwareContext
-    from repro.sim.counters import KernelStats
-    from repro.sim.machine import baseline_machine
-
-    ctx = HardwareContext(baseline_machine())
-    stats = KernelStats()
-    net = FlowNetwork.from_graph(graph, tau=infomap_kwargs.get("tau", 0.15))
-    max_levels = infomap_kwargs.get("max_levels", 20)
-    max_passes = infomap_kwargs.get("max_passes_per_level", 10)
-    from repro.core.infomap import _active_set
-
-    for _level in range(max_levels):
-        partition = Partition(net)
-        active = None
-        for _p in range(max_passes):
-            moves, moved = find_best_pass(
-                partition, recorder, ctx, stats, order=active
-            )
-            if moves == 0:
-                break
-            active = _active_set(net, moved)
-        dense, k = partition.dense_assignment()
-        if k == net.num_vertices:
-            break
-        net = convert_to_supernodes(net, dense, k)
+    _run_levels(
+        FlowNetwork.from_graph(graph, tau=tau), recorder,
+        max_levels=max_levels, max_passes_per_level=max_passes_per_level,
+    )
     return recorder.trace
 
 

@@ -29,17 +29,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.accum.plain import PlainDictAccumulator
-from repro.core.findbest import find_best_pass
 from repro.core.flow import FlowNetwork
-from repro.core.partition import Partition
+from repro.core.infomap import _run_levels
 from repro.core.supernode import convert_to_supernodes
 from repro.graph.csr import CSRGraph
-from repro.sim.context import HardwareContext
-from repro.sim.counters import KernelStats
-from repro.sim.machine import baseline_machine
 from repro.util.entropy import plogp
 
 __all__ = ["run_infomap_hierarchical", "HierarchicalResult", "HModule"]
+
+#: level and pass caps of every two-level optimization below, each one
+#: the sequential engine's level loop with a plain accumulator
+_MAX_LEVELS = _MAX_PASSES = 10
 
 
 @dataclass
@@ -155,37 +155,6 @@ def _index_cost(exit_flow: float, child_enters: list[float]) -> float:
     )
 
 
-# ----------------------------------------------------------------------
-# two-level optimization over a FlowNetwork (plain backend, no hardware)
-# ----------------------------------------------------------------------
-def _two_level_on_net(
-    net: FlowNetwork, max_levels: int = 10, max_passes: int = 10
-) -> np.ndarray:
-    """Multilevel local-move optimization; returns a dense assignment."""
-    from repro.core.infomap import _active_set
-
-    ctx = HardwareContext(baseline_machine())
-    stats = KernelStats()
-    acc = PlainDictAccumulator()
-    mapping = np.arange(net.num_vertices, dtype=np.int64)
-    current = net
-    for _level in range(max_levels):
-        partition = Partition(current)
-        active = None
-        for _p in range(max_passes):
-            moves, moved = find_best_pass(partition, acc, ctx, stats, active)
-            if moves == 0:
-                break
-            active = _active_set(current, moved)
-        dense, k = partition.dense_assignment()
-        if k == current.num_vertices:
-            break
-        mapping = dense[mapping]
-        current = convert_to_supernodes(current, dense, k)
-    uniq, dense_final = np.unique(mapping, return_inverse=True)
-    return dense_final.astype(np.int64)
-
-
 def _subnetwork(net: FlowNetwork, members: np.ndarray) -> FlowNetwork:
     """Induced flow network on ``members``, flows renormalized to sum ~1.
 
@@ -256,7 +225,10 @@ def _try_split(
     sub = _subnetwork(net, node.vertices)
     if sub.num_arcs == 0:
         return leaf_cost
-    assignment = _two_level_on_net(sub)
+    assignment = _run_levels(
+        sub, PlainDictAccumulator(), max_levels=_MAX_LEVELS,
+        max_passes_per_level=_MAX_PASSES,
+    ).modules
     k = int(assignment.max()) + 1
     if k <= 1 or k == node.size:
         return leaf_cost
@@ -336,7 +308,10 @@ def _try_group(
             node_flow=enters,
             directed=coarse.directed,
         )
-        grouping = _two_level_on_net(index_net)
+        grouping = _run_levels(
+            index_net, PlainDictAccumulator(), max_levels=_MAX_LEVELS,
+            max_passes_per_level=_MAX_PASSES,
+        ).modules
         kg = int(grouping.max()) + 1
         if kg <= 1 or kg >= len(current):
             break
@@ -385,7 +360,10 @@ def run_infomap_hierarchical(
         Modules smaller than this are never split further.
     """
     net = FlowNetwork.from_graph(graph, tau=tau)
-    top_assignment = _two_level_on_net(net)
+    top_assignment = _run_levels(
+        net, PlainDictAccumulator(), max_levels=_MAX_LEVELS,
+        max_passes_per_level=_MAX_PASSES,
+    ).modules
     k = int(top_assignment.max()) + 1
 
     modules = []

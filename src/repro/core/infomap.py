@@ -9,7 +9,8 @@ Runs the full multilevel schedule on one simulated core:
    c. **Convert2SuperNode** — coarsen and continue on the supernode graph;
 3. stop when a level produces no merges.
 
-All hardware events land in a :class:`~repro.sim.counters.KernelStats`,
+Steps 2–3 are one private loop, which :mod:`repro.core.hierarchy` and
+:func:`repro.asa.trace.record_trace` run too.  All hardware events land in a :class:`~repro.sim.counters.KernelStats`,
 from which :class:`InfomapResult` derives the per-kernel timing breakdown
 (Fig 2), architectural metrics (Fig 8), and per-iteration runtimes
 (Tables III/IV).
@@ -18,13 +19,16 @@ from which :class:`InfomapResult` derives the per-kernel timing breakdown
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from repro.accum.base import Accumulator
 from repro.accum.factory import make_accumulator
 from repro.core.findbest import find_best_pass
 from repro.core.flow import FlowNetwork
+from repro.core.mapequation import MapEquation
 from repro.core.partition import Partition
 from repro.core.supernode import convert_to_supernodes
 from repro.core.update import update_members
@@ -334,7 +338,6 @@ def _run_infomap(
     with trace_span("pagerank", vertices=graph.num_vertices), \
             recorder.kernel("pagerank"):
         net = FlowNetwork.from_graph(graph, tau=tau)
-        pagerank_iters = net.pagerank_iterations
         _charge_pagerank(ctx, stats, net)
 
     accumulator = make_accumulator(
@@ -344,18 +347,76 @@ def _run_infomap(
         stats.findbest_overflow,
         **(accumulator_kwargs or {}),
     )
+    run = _run_levels(
+        net, accumulator, ctx, stats, recorder, max_levels=max_levels,
+        max_passes_per_level=max_passes_per_level,
+        shuffle_seed=shuffle_seed, worklist=worklist,
+    )
 
-    cm = CycleModel(machine)
-    n0 = graph.num_vertices
-    mapping = np.arange(n0, dtype=np.int64)
+    telemetry = recorder.finish(run.converged)
+    publish_run_metrics(
+        telemetry,
+        overflow_evictions=getattr(accumulator, "total_evictions", 0),
+        rehashes=getattr(accumulator, "total_rehashes", 0),
+    )
+    log.debug("run done: %s", telemetry.summary())
+
+    return InfomapResult(
+        modules=run.modules,
+        num_modules=run.num_modules,
+        codelength=run.codelength,
+        one_level_codelength=run.one_level_codelength,
+        levels=run.levels,
+        iterations=run.iterations,
+        stats=stats,
+        machine=machine,
+        backend=backend,
+        overflowed_vertices=getattr(accumulator, "overflowed_vertices", 0),
+        pagerank_iterations=net.pagerank_iterations,
+        telemetry=telemetry,
+    )
+
+
+class _Levels(NamedTuple):
+    """What :func:`_run_levels` found: the flat partition and its passes."""
+
+    modules: np.ndarray
+    num_modules: int
+    codelength: float
+    one_level_codelength: float
+    levels: int
+    iterations: list[IterationRecord]
+    converged: bool
+
+
+def _run_levels(
+    net: FlowNetwork,
+    accumulator: Accumulator,
+    ctx: HardwareContext | None = None,
+    stats: KernelStats | None = None,
+    recorder: TelemetryRecorder | None = None,
+    max_levels: int = 20,
+    max_passes_per_level: int = 10,
+    shuffle_seed: int | None = None,
+    worklist: bool = True,
+) -> _Levels:
+    """The sequential engine's multilevel loop (steps 2–3 above) over a
+    flow network, sweeping through ``accumulator``.
+
+    ``ctx``, ``stats`` and ``recorder`` default to throwaway ones, for
+    callers that want only the partition (:mod:`repro.core.hierarchy`)
+    or the accumulator's key stream (:mod:`repro.asa.trace`).
+    """
+    if max_levels < 1:
+        raise ValueError(f"max_levels must be >= 1, got {max_levels}")
+    ctx = ctx or HardwareContext(baseline_machine())
+    stats = stats or KernelStats()
+    recorder = recorder or TelemetryRecorder("sequential",
+                                             backend=accumulator.name)
+    cm = CycleModel(ctx.machine)
+    mapping = np.arange(net.num_vertices, dtype=np.int64)
     rng = make_rng(shuffle_seed) if shuffle_seed is not None else None
-
     iterations: list[IterationRecord] = []
-    levels = 0
-    iteration_no = 0
-    from repro.core.mapequation import MapEquation
-
-    partition = Partition(net)
     one_level = MapEquation.one_level_codelength(net.node_flow)
     # Σ plogp(p_α) over original vertices: converts supernode-level
     # codelengths back to true flat-partition codelengths
@@ -363,7 +424,6 @@ def _run_infomap(
 
     converged = False
     for level in range(max_levels):
-        levels = level + 1
         partition = Partition(net)
         recorder.begin_level(level, net.num_vertices)
         active: np.ndarray | None = None  # None = all vertices (first pass)
@@ -382,23 +442,23 @@ def _run_infomap(
             wall = time.perf_counter() - wall0
             after = cm.cycles(stats.findbest).seconds
             codelength = partition.flat_codelength(node_flow_log0)
+            nodes = net.num_vertices if order is None else len(order)
             recorder.record_kernel("findbest", wall)
             recorder.record_pass(
                 level=level,
                 pass_in_level=pass_idx,
-                active_vertices=net.num_vertices if order is None else len(order),
+                active_vertices=nodes,
                 moves=moves,
                 num_modules=partition.num_modules,
                 codelength=codelength,
                 wall_seconds=wall,
             )
-            iteration_no += 1
             iterations.append(
                 IterationRecord(
-                    iteration=iteration_no,
+                    iteration=len(iterations) + 1,
                     level=level,
                     pass_in_level=pass_idx,
-                    nodes=net.num_vertices if order is None else len(order),
+                    nodes=nodes,
                     moves=moves,
                     codelength=codelength,
                     seconds=after - before,
@@ -406,21 +466,20 @@ def _run_infomap(
             )
             if moves == 0:
                 break
-            if worklist:
-                active = _active_set(net, moved)
-            else:
-                active = None
+            active = _active_set(net, moved) if worklist else None
 
         dense, k = partition.dense_assignment()
-        recorder.end_level(k, partition.flat_codelength(node_flow_log0))
+        codelength = partition.flat_codelength(node_flow_log0)
+        recorder.end_level(k, codelength)
         log.debug(
             "level %d: %d -> %d modules, L=%.4f bits",
-            level, net.num_vertices, k,
-            partition.flat_codelength(node_flow_log0),
+            level, net.num_vertices, k, codelength,
         )
         if k == net.num_vertices:
+            # nothing merged, so nothing moved (every move joins a
+            # non-empty module): ``mapping`` needs no update
             converged = True
-            break  # nothing merged: converged
+            break
         with trace_span("updatemembers", level=level), \
                 recorder.kernel("updatemembers"):
             mapping = update_members(mapping, dense, ctx, stats)
@@ -428,35 +487,15 @@ def _run_infomap(
                 recorder.kernel("convert2supernode"):
             net = convert_to_supernodes(net, dense, k, ctx, stats)
 
-    if converged:
-        # the last level merged nothing, so it was never folded into
-        # mapping; a level cap ends the loop with every level folded
-        mapping = dense[mapping]
-    uniq, final_modules = np.unique(mapping, return_inverse=True)
-    num_modules = len(uniq)
-    overflowed = getattr(accumulator, "overflowed_vertices", 0)
-
-    telemetry = recorder.finish(converged)
-    publish_run_metrics(
-        telemetry,
-        overflow_evictions=getattr(accumulator, "total_evictions", 0),
-        rehashes=getattr(accumulator, "total_rehashes", 0),
-    )
-    log.debug("run done: %s", telemetry.summary())
-
-    return InfomapResult(
-        modules=final_modules.astype(np.int64),
-        num_modules=num_modules,
-        codelength=partition.flat_codelength(node_flow_log0),
+    uniq, modules = np.unique(mapping, return_inverse=True)
+    return _Levels(
+        modules=modules.astype(np.int64),
+        num_modules=len(uniq),
+        codelength=codelength,
         one_level_codelength=one_level,
-        levels=levels,
+        levels=level + 1,
         iterations=iterations,
-        stats=stats,
-        machine=machine,
-        backend=backend,
-        overflowed_vertices=overflowed,
-        pagerank_iterations=pagerank_iters,
-        telemetry=telemetry,
+        converged=converged,
     )
 
 

@@ -28,8 +28,7 @@ import numpy as np
 
 from repro.baselines.louvain import louvain
 from repro.core.infomap import InfomapResult, run_infomap
-from repro.core.multicore import MulticoreResult, run_infomap_multicore
-from repro.core.vectorized import run_infomap_vectorized
+from repro.core.multicore import MulticoreResult
 from repro.graph.datasets import DATASETS, TABLE1_ORDER, load_dataset
 from repro.graph.lfr import LFRParams, lfr_graph
 from repro.graph.metrics import cam_coverage, degree_histogram, powerlaw_alpha_mle
@@ -134,14 +133,11 @@ def run_cached(
         graph = load_dataset(name)
         machine = (asa_machine if backend == "asa" else baseline_machine)(fidelity)
         t0 = time.perf_counter()
-        if cores == 1:
-            result: InfomapResult | MulticoreResult = run_infomap(
-                graph, backend=backend, machine=machine
-            )
-        else:
-            result = run_infomap_multicore(
-                graph, num_cores=cores, backend=backend, machine=machine
-            )
+        result: InfomapResult | MulticoreResult = run_infomap(
+            graph, backend=backend, machine=machine,
+            engine="sequential" if cores == 1 else "multicore",
+            workers=cores,
+        )
         wall = time.perf_counter() - t0
     _RUN_CACHE[key] = result
     if obs_ledger.is_enabled():
@@ -238,24 +234,14 @@ def table3_validation(
     error.
     """
     graph = load_dataset(name)
-    if cores == 1:
-        r_nat = run_infomap(graph, backend="softhash", machine=native_machine("fast"))
-        r_base = run_infomap(
-            graph, backend="softhash", machine=baseline_machine("detailed")
-        )
-        nat_iters = r_nat.iterations
-        base_iters = r_base.iterations
-    else:
-        rm_nat = run_infomap_multicore(
-            graph, num_cores=cores, backend="softhash",
-            machine=native_machine("fast"),
-        )
-        rm_base = run_infomap_multicore(
-            graph, num_cores=cores, backend="softhash",
-            machine=baseline_machine("detailed"),
-        )
-        nat_iters = rm_nat.iterations
-        base_iters = rm_base.iterations
+    nat_iters, base_iters = [
+        run_infomap(
+            graph, backend="softhash", machine=machine,
+            engine="sequential" if cores == 1 else "multicore",
+            workers=cores,
+        ).iterations
+        for machine in (native_machine("fast"), baseline_machine("detailed"))
+    ]
 
     label = "Table III" if cores == 1 else "Table IV"
     t = Table(
@@ -630,7 +616,7 @@ def lfr_quality(
     for mu in mus:
         g, truth = lfr_graph(LFRParams(n=n, mu=mu, seed=seed))
         t0 = time.perf_counter()
-        ri = run_infomap_vectorized(g)
+        ri = run_infomap(g, engine="vectorized")
         wall = time.perf_counter() - t0
         rl = louvain(g, seed=seed)
         nmi_i = normalized_mutual_information(ri.modules, truth)

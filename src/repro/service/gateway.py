@@ -391,7 +391,9 @@ class Gateway:
                 truncated_tail = not raw.endswith(b"\n")
                 try:
                     obj = json.loads(raw)
-                except json.JSONDecodeError as exc:
+                except (ValueError, RecursionError) as exc:
+                    # ValueError covers bad JSON and bytes that are not
+                    # UTF-8; RecursionError, nesting too deep to parse
                     if truncated_tail:
                         # the stream died mid-line: nothing to answer,
                         # nothing to blame on the (gone) client

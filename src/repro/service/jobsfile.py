@@ -219,15 +219,18 @@ def load_jobs(path: str) -> list[JobSpec]:
     """
     resolver = _GraphResolver()
     specs: list[JobSpec] = []
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
             where = f"{path}:{lineno}"
             try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{where}: not UTF-8: {exc}") from None
+            if not line or line.startswith("#"):
+                continue
+            try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ValueError(f"{where}: not JSON: {exc}") from None
             fields = spec_fields_from_json(obj, where=where)
             graph = resolver.resolve(obj, where)

@@ -14,7 +14,9 @@ One home for the generators that were previously copy-pasted across
   example runs a whole Infomap pipeline);
 * :data:`directedness` — the directed/undirected flag;
 * :func:`module_moves` — one BSP round's merged move proposals over a
-  few modules, swaps and longer cycles of modules included.
+  few modules, swaps and longer cycles of modules included;
+* :data:`json_values` — any JSON value, the adversarial input of the
+  jobs-file and gateway wire properties.
 
 Keep strategies *here* and tolerances/invariants in the tests: a strategy
 describes the input space, a test describes what must hold on it.  See
@@ -30,7 +32,8 @@ from repro.graph.build import from_edges
 from repro.graph.csr import CSRGraph
 
 __all__ = ["edge_lists", "weights", "weighted_graphs", "hand_built_csrs",
-           "seeds", "small_seeds", "directedness", "module_moves"]
+           "seeds", "small_seeds", "directedness", "module_moves",
+           "json_values"]
 
 
 def edge_lists(
@@ -131,3 +134,22 @@ def module_moves(draw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     targets = [x + (x >= module[v]) for v, x in zip(verts, others)]
     return (module, np.array(verts, dtype=np.int64),
             np.array(targets, dtype=np.int64))
+
+
+#: any JSON value: null, bools, ints past int64, floats (±0.0, inf and
+#: NaN, which Python's json reads and writes), strings — among them the
+#: spellings the fields really take — and nested arrays and objects
+json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(2**70), 2**70),
+        st.floats(),
+        st.text(max_size=8),
+        st.sampled_from(["parallel", "multicore", "vectorized",
+                         "kill@w0:b1", "random:3:2", "random:3"]),
+    ),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)

@@ -27,6 +27,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.generators import planted_partition
 from repro.service.cache import cache_key, graph_digest
@@ -36,6 +38,7 @@ from repro.service.gateway import (
     REJECT_BACKPRESSURE,
     REJECT_INVALID,
     REJECT_RATE_LIMIT,
+    _ENVELOPE_KEYS,
     Gateway,
     GatewayConfig,
     graph_to_wire,
@@ -44,6 +47,7 @@ from repro.service.jobs import JobSpec
 from repro.service.jobsfile import load_jobs
 from repro.service.service import JobService
 
+from tests.strategies import json_values
 from tests.test_engine_conformance import FAMILIES, SEEDS
 from tests.traffic import GatewayClient, TrafficConfig, run_soak
 
@@ -91,6 +95,18 @@ _UNBUILDABLE = {
         "planted": {"communities": [2], "size": 20, "p_in": 0.45,
                     "p_out": 0.02}},
 }
+
+
+#: one wire line, without its newline: arbitrary bytes, raw bytes inside
+#: a JSON string, any JSON value, or envelope keys with any JSON values
+_WIRE_LINES = st.one_of(
+    st.binary(max_size=48),
+    st.binary(max_size=16).map(lambda b: b'{"id": "' + b + b'"}'),
+    json_values.map(lambda v: json.dumps(v).encode()),
+    st.dictionaries(st.sampled_from(sorted(_ENVELOPE_KEYS)), json_values,
+                    min_size=1, max_size=4)
+    .map(lambda d: json.dumps(d).encode()),
+).map(lambda line: line.replace(b"\n", b" "))
 
 
 def _by_id(rows):
@@ -250,6 +266,57 @@ class TestAdmission:
         nojson = [r for r in rows if "id" not in r]
         assert len(nojson) == 1 and "not JSON" in nojson[0]["error"]
 
+    @pytest.mark.parametrize("raw", [
+        b"\xff",
+        b'{"id": "a\xc3("}',
+        b"[" * 60_000,
+    ], ids=["lone-ff", "bad-continuation-byte", "nested-past-parser-depth"])
+    def test_undecodable_line_answers_invalid_and_keeps_serving(self, raw):
+        """A line that is not UTF-8, or nests deeper than the JSON
+        parser goes, answers one invalid row naming its line number, and
+        the next job on the same connection completes."""
+        g, _ = FAMILIES["undirected"](0)
+
+        async def _drive(gw):
+            client = await GatewayClient.connect("127.0.0.1", gw.port)
+            await client.send_raw(raw + b"\n")
+            await client.send(_vec_line(g, 0, id="ok"))
+            return await client.drain_to_eof()
+
+        rows, _gw = gw_run(_drive, shards=1)
+        assert [r["status"] for r in rows] == ["rejected", "completed"]
+        assert rows[0]["reject"] == REJECT_INVALID
+        assert rows[0]["error"].startswith("line 1: not JSON: ")
+        assert rows[1]["id"] == "ok"
+
+    @settings(max_examples=400, deadline=None)
+    @given(lines=st.lists(_WIRE_LINES, min_size=1, max_size=6))
+    def test_any_line_answers_one_row_and_keeps_serving(self, lines):
+        """Wire fuzz: arbitrary bytes (invalid UTF-8 included), any JSON
+        value, and envelope keys holding values of any type.  No drawn
+        line names a graph source, so none can open a session and each
+        answers exactly one row; the loop sees no unhandled exception,
+        and a valid job sent afterwards on the same connection
+        completes."""
+        g, _ = FAMILIES["undirected"](0)
+        unhandled = []
+
+        async def _drive(gw):
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: unhandled.append(context))
+            client = await GatewayClient.connect("127.0.0.1", gw.port)
+            for line in lines:
+                await client.send_raw(line + b"\n")
+            # an id longer than any string the fuzz draws
+            await client.send(_vec_line(g, 0, id="valid-job-after-fuzz"))
+            return await client.drain_to_eof()
+
+        rows, _gw = gw_run(_drive, shards=1)
+        assert not unhandled, unhandled
+        assert len(rows) == len(lines) + 1, rows
+        assert [r["status"] for r in rows
+                if r.get("id") == "valid-job-after-fuzz"] == ["completed"]
+
     @pytest.mark.parametrize("session", [False, True],
                              ids=["job", "session-open"])
     @pytest.mark.parametrize("source", sorted(_UNBUILDABLE))
@@ -370,6 +437,21 @@ class TestIsolation:
         rows, gw = gw_run(_drive, shards=1)
         assert [r["id"] for r in rows] == ["whole"]
         assert rows[0]["status"] == "completed"
+        assert gw.stats["truncated_lines"] == 1
+
+    def test_undecodable_truncated_tail_is_dropped(self):
+        """A partial last line that is not UTF-8 is dropped like any
+        other truncated tail."""
+        g, _ = FAMILIES["undirected"](0)
+
+        async def _drive(gw):
+            client = await GatewayClient.connect("127.0.0.1", gw.port)
+            await client.send(_vec_line(g, 0, id="whole"))
+            await client.send_raw(b'{"id": "\xff')  # no newline
+            return await client.drain_to_eof()
+
+        rows, gw = gw_run(_drive, shards=1)
+        assert [r["id"] for r in rows] == ["whole"]
         assert gw.stats["truncated_lines"] == 1
 
     def test_over_limit_lines_answer_invalid_rows(self):

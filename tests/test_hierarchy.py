@@ -12,6 +12,7 @@ from repro.core.hierarchy import (
     hierarchical_codelength,
     run_infomap_hierarchical,
 )
+from repro.core.infomap import run_infomap
 from repro.graph.build import from_edge_array
 from repro.graph.generators import planted_partition, ring_of_cliques
 from repro.quality import normalized_mutual_information
@@ -95,6 +96,15 @@ class TestHierarchicalRun:
         r = run_infomap_hierarchical(g)
         leaf = r.leaf_assignment(g.num_vertices)
         assert normalized_mutual_information(leaf, truth) == pytest.approx(1.0)
+
+    def test_two_level_start_is_the_sequential_engine(self):
+        """The hierarchy starts from the sequential engine's partition
+        (its level loop, plain accumulator, 10 levels of 10 passes)."""
+        g, _ = planted_partition(4, 25, 0.4, 0.02, seed=1)
+        r = run_infomap_hierarchical(g)
+        seq = run_infomap(g, max_levels=10)
+        assert r.two_level_codelength == pytest.approx(
+            seq.codelength, abs=1e-9)
 
     def test_codelength_matches_tree_evaluation(self):
         g, *_ = nested_rings()

@@ -118,6 +118,13 @@ class TestSequentialEngine:
         r = run_infomap(g, max_levels=1)
         assert r.levels == 1
 
+    def test_max_levels_below_one_raises(self):
+        # as JobSpec.validate and the distributed engine do: the level
+        # loop needs one level to define a partition
+        g, _ = ring_of_cliques(8, 4)
+        with pytest.raises(ValueError, match="max_levels"):
+            run_infomap(g, max_levels=0)
+
     def test_shuffle_seed_changes_order_not_quality(self):
         g, truth = planted_partition(4, 25, 0.4, 0.02, seed=8)
         a = run_infomap(g, shuffle_seed=1)

@@ -43,6 +43,7 @@ from repro.service import (
 from repro.service.jobs import MAX_WORKERS
 from repro.service.jobsfile import _SPEC_KEYS, load_jobs
 
+from tests.strategies import json_values
 from tests.test_engine_conformance import FAMILIES
 
 
@@ -291,25 +292,8 @@ def test_non_int_priority_is_rejected_not_raised(priority):
     assert "priority must be an int" in r.error
 
 
-#: any JSON value: null, bools, ints past int64, floats (±0.0, inf and
-#: NaN, which Python's json reads and writes), strings — among them the
-#: spellings the fields really take — and nested arrays and objects
-_JSON_VALUES = st.recursive(
-    st.one_of(
-        st.none(),
-        st.booleans(),
-        st.integers(-(2**70), 2**70),
-        st.floats(),
-        st.text(max_size=8),
-        st.sampled_from(["parallel", "multicore", "vectorized",
-                         "kill@w0:b1", "random:3:2", "random:3"]),
-    ),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=6,
-)
 _SPEC_VALUES = st.one_of(
-    _JSON_VALUES,
+    json_values,
     st.sampled_from([[["add", 0, 5, 2.0]], [["remove", 0, 1]]]),  # deltas
 )
 _TINY_PLANTED = {"communities": 2, "size": 6, "p_in": 0.8, "p_out": 0.1,
@@ -460,6 +444,21 @@ def test_bad_jobs_line_fails_with_line_number(tmp_path, source, message):
         load_jobs(str(path))
     assert f"{path}:2" in str(exc.value)
     assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("raw", [
+    b"\xff",
+    b'{"id": "a\xc3("}',
+    b"[" * 5000,
+], ids=["lone-ff", "bad-continuation-byte", "nested-past-parser-depth"])
+def test_undecodable_jobs_line_fails_with_line_number(tmp_path, raw):
+    """A line that is not UTF-8, or nests deeper than the JSON parser
+    goes, is a ValueError naming path:lineno like any other bad line."""
+    path = tmp_path / "jobs.jsonl"
+    path.write_bytes(b"# one bad line\n" + raw + b"\n")
+    with pytest.raises(ValueError) as exc:
+        load_jobs(str(path))
+    assert str(exc.value).startswith(f"{path}:2: not ")
 
 
 def test_wellformed_delta_line_parses_into_spec(tmp_path):

@@ -8,6 +8,8 @@ from repro.asa.trace import (
     record_trace,
     replay_trace,
 )
+from repro.core.infomap import run_infomap
+from repro.graph.build import from_edge_array
 from repro.graph.generators import planted_partition, ring_of_cliques
 
 
@@ -52,6 +54,36 @@ class TestRecordTrace:
         assert a.num_phases == b.num_phases
         for x, y in zip(a.phases, b.phases):
             assert np.array_equal(x, y)
+
+
+    def test_options_are_keyword_only_and_checked(self):
+        """``tau``, ``max_levels`` and ``max_passes_per_level`` are the
+        options; any other keyword (a typo included) is an error, not a
+        silently default trace."""
+        g, _ = planted_partition(4, 25, 0.4, 0.02, seed=1)
+        full = record_trace(g)
+        one_level = record_trace(g, max_levels=1)
+        # the level cap stops the same run early
+        assert 0 < one_level.num_phases < full.num_phases
+        for x, y in zip(one_level.phases, full.phases):
+            assert np.array_equal(x, y)
+        for bad in ({"shuffle_seed": 7}, {"worklist": False},
+                    {"backend": "asa"}, {"max_level": 1}):
+            with pytest.raises(TypeError):
+                record_trace(g, **bad)
+        with pytest.raises(TypeError):
+            record_trace(g, 0.15)
+
+    def test_phases_are_the_sequential_engine_sweeps(self):
+        """One phase per vertex visit of the sequential engine's passes
+        (two on a directed graph: out- and in-flow), in its order."""
+        g, _ = planted_partition(4, 25, 0.4, 0.02, seed=1)
+        visits = sum(it.nodes for it in run_infomap(g).iterations)
+        assert record_trace(g).num_phases == visits
+        d = from_edge_array(*g.edge_array(), num_vertices=g.num_vertices,
+                            directed=True)
+        visits = sum(it.nodes for it in run_infomap(d).iterations)
+        assert record_trace(d).num_phases == 2 * visits
 
 
 class TestReplay:
