@@ -137,10 +137,10 @@ def measure() -> dict:
         inc = full = None
         for _ in range(REPEATS):
             t0 = time.perf_counter()
-            # max_passes matches the reference run's round budget so
+            # the pass cap matches the reference run's round budget so
             # the fallback path prices out at ~1x, not a hidden win
             r = warm_refresh(updated, base.modules, dirty, seed=0,
-                             max_passes=30)
+                             max_passes_per_level=30)
             dt = time.perf_counter() - t0
             if dt < inc_wall:
                 inc_wall, inc = dt, r

@@ -21,7 +21,7 @@ import numpy as np
 from repro.accum.plain import PlainDictAccumulator
 from repro.asa.cam import CAM
 from repro.core.flow import FlowNetwork
-from repro.core.infomap import _run_levels
+from repro.core.infomap import _run_levels, check_engine_options
 from repro.graph.csr import CSRGraph
 
 __all__ = ["AccumulationTrace", "TraceRecordingAccumulator", "record_trace",
@@ -83,6 +83,10 @@ def record_trace(
 ) -> AccumulationTrace:
     """Run the sequential engine's level loop once with a recording
     accumulator; return the trace."""
+    check_engine_options(
+        "sequential", tau=tau, max_levels=max_levels,
+        max_passes_per_level=max_passes_per_level,
+    )
     recorder = TraceRecordingAccumulator()
     _run_levels(
         FlowNetwork.from_graph(graph, tau=tau), recorder,

@@ -53,7 +53,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core.infomap import BSP_ENGINES, ENGINE_OPTIONS, ENGINES, run_infomap
+from repro.core.infomap import (
+    BSP_ENGINES,
+    ENGINE_OPTIONS,
+    ENGINES,
+    MAX_WORKERS,
+    check_engine_options,
+    run_infomap,
+)
 from repro.graph.datasets import TABLE1_ORDER, load_dataset
 from repro.graph.io import read_edge_list
 from repro.graph.stream import recipe_names as stream_recipe_names
@@ -115,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="core/worker count for --engine multicore|parallel "
-        "(default 2); rejected for single-rank engines",
+        f"(default 2, at most {MAX_WORKERS}); the single-rank engines "
+        "take only 1",
     )
     runp.add_argument(
         "--fault-plan", default=None, metavar="PLAN",
@@ -133,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: wait forever, or 30s when --fault-plan is given)",
     )
     runp.add_argument("--directed", action="store_true")
-    runp.add_argument("--tau", type=float, default=0.15)
+    runp.add_argument("--tau", type=float, default=0.15,
+                      help="teleportation rate, in (0, 1) (default 0.15)")
     runp.add_argument(
         "--report", action="store_true",
         help="print the full per-kernel hardware report",
@@ -329,8 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate_run_args(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> None:
-    """Reject incoherent --engine / --backend / --workers / --fault-plan
-    combinations with a proper argparse usage error (exit code 2).
+    """Reject engine options the chosen --engine does not take, or whose
+    value breaks its rule (:func:`repro.core.infomap.check_engine_options`,
+    the check every engine entry point runs), with a proper argparse
+    usage error (exit code 2) naming the flag.
 
     This runs from :func:`main` *before* :func:`_cmd_run` touches the
     graph source, so a bad combination is rejected before a dataset is
@@ -352,27 +363,20 @@ def _validate_run_args(
         # 'plain', the default, asks for no accounting: every engine runs it
         "backend": args.backend if args.backend != "plain" else None,
         "workers": args.workers,
-        "fault_plan": args.fault_plan,
+        "tau": args.tau,
         "worker_timeout": args.worker_timeout,
+        "fault_plan": args.fault_plan,
     }
+    # one flag at a time, so the error names the flag that broke the rule
+    judged: dict = {}
     for option, value in given.items():
-        if value is not None and args.engine not in ENGINE_OPTIONS[option]:
-            parser.error(
-                f"--{option.replace('_', '-')} requires --engine "
-                f"{' or '.join(ENGINE_OPTIONS[option])} "
-                f"(got --engine {args.engine})"
-            )
-    if args.workers is not None and args.workers < 1:
-        parser.error("--workers must be >= 1")
-    if args.worker_timeout is not None and args.worker_timeout <= 0:
-        parser.error("--worker-timeout must be positive seconds")
-    if args.fault_plan is not None:
-        from repro.core.faults import FaultPlan
-
+        if value is None:
+            continue
+        judged[option] = value
         try:
-            FaultPlan.parse(args.fault_plan, workers=args.workers or 2)
+            check_engine_options(args.engine, **judged)
         except ValueError as exc:
-            parser.error(f"--fault-plan: {exc}")
+            parser.error(f"--{option.replace('_', '-')}: {exc}")
 
 
 def _add_obs_arguments(p: argparse.ArgumentParser, trace: bool = True) -> None:
@@ -615,7 +619,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         t.add_row([
             r.job_id,
             r.label,
-            f"{r.engine}×{r.workers}" if r.workers > 1 else r.engine,
+            # a rejected job's workers may be any JSON value
+            r.engine if r.workers in (0, 1) else f"{r.engine}×{r.workers}",
             r.status,
             r.num_modules if r.ok else "-",
             f"{r.codelength:.4f}" if r.ok else "-",

@@ -23,15 +23,15 @@ evaluation reports, under a latency–bandwidth (α–β) network model:
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.bsp import ProposeBackend, run_bsp_infomap
+from repro.core.infomap import check_engine_options
 from repro.graph.csr import CSRGraph
 from repro.obs.spans import trace_span
+from repro.util.validation import is_finite_real, is_int, is_number
 
 __all__ = [
     "run_infomap_distributed",
@@ -114,19 +114,11 @@ class DistributedResult:
         )
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
 def validate_distributed_params(
     num_ranks: int = 4,
     tau: float = 0.15,
     max_levels: int = 20,
-    max_supersteps_per_level: int = 12,
+    max_passes_per_level: int = 12,
     compute_rate_ops_per_s: float = 5e7,
     network: NetworkModel | None = None,
 ) -> None:
@@ -134,29 +126,18 @@ def validate_distributed_params(
 
     Everything a caller can get wrong fails *here*, with a readable
     reason — never as a ``TypeError``/``IndexError`` deep inside the
-    run.  This is the same contract the serving stack runs on
-    (:meth:`repro.service.jobs.JobSpec.validate`): validation raises
-    ``ValueError``, which admission control can turn into a structured
-    rejection.  An infinite ``bandwidth_Bps`` is legal (ideal links); an
-    infinite ``latency_s`` is not.
+    run.  The ranks, ``tau`` and the caps follow the engines' one rule
+    (:func:`repro.core.infomap.check_engine_options`): the ranks run
+    the multicore schedule as its workers.  An infinite
+    ``bandwidth_Bps`` is legal (ideal links); an infinite ``latency_s``
+    is not.
     """
-    if not _is_int(num_ranks) or num_ranks < 1:
-        raise ValueError(
-            f"num_ranks must be an int >= 1, got {num_ranks!r}"
-        )
-    if not (_is_real(tau) and 0.0 < tau < 1.0):
-        raise ValueError(f"tau must be in (0, 1), got {tau!r}")
-    if not _is_int(max_levels) or max_levels < 1:
-        raise ValueError(
-            f"max_levels must be an int >= 1, got {max_levels!r}"
-        )
-    if not _is_int(max_supersteps_per_level) or max_supersteps_per_level < 1:
-        raise ValueError(
-            f"max_supersteps_per_level must be an int >= 1, "
-            f"got {max_supersteps_per_level!r}"
-        )
-    if not (_is_real(compute_rate_ops_per_s)
-            and 0 < compute_rate_ops_per_s < math.inf):
+    check_engine_options(
+        "multicore", num_ranks=num_ranks, tau=tau, max_levels=max_levels,
+        max_passes_per_level=max_passes_per_level,
+    )
+    if not (is_finite_real(compute_rate_ops_per_s)
+            and compute_rate_ops_per_s > 0):
         raise ValueError(
             f"compute_rate_ops_per_s must be positive finite ops/s, "
             f"got {compute_rate_ops_per_s!r}"
@@ -168,17 +149,17 @@ def validate_distributed_params(
                 f"got {type(network).__name__}"
             )
         latency, bandwidth = network.latency_s, network.bandwidth_Bps
-        if not (_is_real(latency) and 0 <= latency < math.inf):
+        if not (is_finite_real(latency) and latency >= 0):
             raise ValueError(
                 f"network latency_s must be a finite real >= 0, "
                 f"got {latency!r}"
             )
-        if not (_is_real(bandwidth) and bandwidth > 0):
+        if not (is_number(bandwidth) and bandwidth > 0):
             raise ValueError(
                 f"network bandwidth_Bps must be a positive real "
                 f"(inf for ideal links), got {bandwidth!r}"
             )
-        if not _is_int(network.record_bytes) or network.record_bytes < 1:
+        if not is_int(network.record_bytes) or network.record_bytes < 1:
             raise ValueError(
                 f"network record_bytes must be an int >= 1, "
                 f"got {network.record_bytes!r}"
@@ -236,15 +217,15 @@ def run_infomap_distributed(
     num_ranks: int = 4,
     tau: float = 0.15,
     max_levels: int = 20,
-    max_supersteps_per_level: int = 12,
+    max_passes_per_level: int = 12,
     compute_rate_ops_per_s: float = 5e7,
     network: NetworkModel | None = None,
 ) -> DistributedResult:
     """Simulate BSP distributed Infomap over ``num_ranks`` ranks.
 
     One run of :func:`repro.core.bsp.run_bsp_infomap` at
-    ``P = num_ranks`` with ``max_supersteps_per_level`` as its pass cap
-    and the commit's backoff RNG at seed 0, so at equal pass caps the
+    ``P = num_ranks`` with ``max_passes_per_level`` as its pass cap and
+    the commit's backoff RNG at seed 0, so at equal pass caps the
     partition equals ``run_infomap_multicore(graph,
     num_cores=num_ranks, seed=0)``.  Every pass is one superstep; its
     :class:`SuperstepRecord` carries the accounting described in the
@@ -256,14 +237,14 @@ def run_infomap_distributed(
         )
     validate_distributed_params(
         num_ranks=num_ranks, tau=tau, max_levels=max_levels,
-        max_supersteps_per_level=max_supersteps_per_level,
+        max_passes_per_level=max_passes_per_level,
         compute_rate_ops_per_s=compute_rate_ops_per_s, network=network,
     )
     ranks = _Ranks(num_ranks, compute_rate_ops_per_s, network or NetworkModel())
     with trace_span("infomap.run", engine="distributed", ranks=num_ranks):
         out = run_bsp_infomap(
             graph, ranks, num_ranks, seed=0, tau=tau, max_levels=max_levels,
-            max_passes_per_level=max_supersteps_per_level,
+            max_passes_per_level=max_passes_per_level,
         )
     # one barrier per pass: supersteps and passes pair up
     supersteps = [

@@ -50,7 +50,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.infomap import BSP_ENGINES, run_infomap
+from repro.core.infomap import (
+    BSP_ENGINES,
+    check_engine_options,
+    run_infomap,
+)
 from repro.graph.build import from_edge_array
 from repro.graph.csr import CSRGraph
 from repro.obs import ledger as obs_ledger
@@ -110,20 +114,6 @@ def dirty_frontier(graph: CSRGraph, dirty: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate([dirty, dst[flags[src]], src[flags[dst]]]))
 
 
-def _validate_refresh_params(engine: str, workers: int) -> None:
-    # the instrumented sequential engine has no shard-restricted sweep
-    if engine not in BSP_ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}: choose from {BSP_ENGINES}"
-        )
-    if not isinstance(workers, int) or workers < 1:
-        raise ValueError("workers must be an int >= 1")
-    if engine == "vectorized" and workers != 1:
-        raise ValueError(
-            "engine 'vectorized' is single-rank: workers must be 1"
-        )
-
-
 def warm_refresh(
     graph: CSRGraph,
     labels: np.ndarray | None,
@@ -134,7 +124,7 @@ def warm_refresh(
     seed: int = 0,
     tau: float = 0.15,
     max_levels: int = 20,
-    max_passes: int = 10,
+    max_passes_per_level: int = 10,
     full_rerun_threshold: float = DEFAULT_FULL_RERUN_THRESHOLD,
     pool=None,
     deadline: float | None = None,
@@ -151,9 +141,10 @@ def warm_refresh(
         Vertices whose incident edges changed since ``labels`` was
         computed.  Ignored when ``labels`` is ``None``.
     engine / workers / seed:
-        Which engine runs the refresh and its determinism coordinates;
-        a warm refresh is identical across engines at equal
-        ``workers``/``seed`` (the BSP schedule guarantee).
+        Which BSP engine runs the refresh (the sequential engine has no
+        shard-restricted sweep) and its determinism coordinates; a warm
+        refresh is identical across engines at equal ``workers``/``seed``
+        (the BSP schedule guarantee).
     full_rerun_threshold:
         Dirty-frontier share of the vertex set past which the warm
         start is abandoned for the engine's standard from-scratch run.
@@ -162,7 +153,11 @@ def warm_refresh(
         :func:`repro.core.infomap.run_infomap`) — how the serving layer
         runs refreshes on its warm worker pools.
     """
-    _validate_refresh_params(engine, workers)
+    check_engine_options(
+        engine, BSP_ENGINES, workers=workers, seed=seed, tau=tau,
+        max_levels=max_levels, max_passes_per_level=max_passes_per_level,
+        pool=pool, deadline=deadline, worker_timeout=worker_timeout,
+    )
     if not (0.0 < full_rerun_threshold <= 1.0):
         raise ValueError("full_rerun_threshold must be in (0, 1]")
     n = graph.num_vertices
@@ -197,7 +192,7 @@ def warm_refresh(
     # engine's cold schedule
     r = run_infomap(
         graph, engine=engine, workers=workers, shuffle_seed=seed, tau=tau,
-        max_levels=max_levels, max_passes_per_level=max_passes,
+        max_levels=max_levels, max_passes_per_level=max_passes_per_level,
         pool=pool, deadline=deadline, worker_timeout=worker_timeout,
         init_module=seeded, init_active=frontier,
     )
@@ -215,7 +210,8 @@ def warm_refresh(
     )
     _publish_refresh(result)
     _ledger_refresh(
-        graph, engine, workers, seed, tau, max_levels, max_passes, result,
+        graph, engine, workers, seed, tau, max_levels, max_passes_per_level,
+        result,
     )
     return result
 
@@ -233,7 +229,8 @@ def _publish_refresh(result: RefreshResult) -> None:
 
 
 def _ledger_refresh(
-    graph, engine, workers, seed, tau, max_levels, max_passes, result,
+    graph, engine, workers, seed, tau, max_levels, max_passes_per_level,
+    result,
 ) -> None:
     """One ``kind="dynamic"`` ledger row per refresh (when armed)."""
     if not obs_ledger.is_enabled():
@@ -250,7 +247,7 @@ def _ledger_refresh(
             "seed": seed,
             "tau": tau,
             "max_levels": max_levels,
-            "max_passes_per_level": max_passes,
+            "max_passes_per_level": max_passes_per_level,
         },
         telemetry={
             "codelength": result.codelength,
@@ -297,7 +294,9 @@ class DynamicCommunities:
     ):
         if num_vertices <= 0:
             raise ValueError("num_vertices must be positive")
-        _validate_refresh_params(engine, workers)
+        check_engine_options(
+            engine, BSP_ENGINES, workers=workers, seed=seed, tau=tau
+        )
         if not (0.0 < full_rerun_threshold <= 1.0):
             raise ValueError("full_rerun_threshold must be in (0, 1]")
         self.num_vertices = num_vertices
@@ -363,7 +362,9 @@ class DynamicCommunities:
         )
 
     # ------------------------------------------------------------------
-    def refresh(self, max_passes: int = 10, max_levels: int = 20) -> RefreshResult:
+    def refresh(
+        self, max_passes_per_level: int = 10, max_levels: int = 20
+    ) -> RefreshResult:
         """Re-optimize after pending updates.
 
         First call (or after :attr:`modules` was reset) runs from
@@ -408,7 +409,8 @@ class DynamicCommunities:
         result = warm_refresh(
             graph, self.modules, dirty,
             engine=self.engine, workers=self.workers, seed=self.seed,
-            tau=self.tau, max_levels=max_levels, max_passes=max_passes,
+            tau=self.tau, max_levels=max_levels,
+            max_passes_per_level=max_passes_per_level,
             full_rerun_threshold=self.full_rerun_threshold,
         )
         self.modules = result.modules.copy()

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.accum.plain import PlainDictAccumulator
 from repro.core.flow import FlowNetwork
-from repro.core.infomap import _run_levels
+from repro.core.infomap import _run_levels, check_engine_options
 from repro.core.supernode import convert_to_supernodes
 from repro.graph.csr import CSRGraph
 from repro.util.entropy import plogp
@@ -359,6 +359,7 @@ def run_infomap_hierarchical(
     min_module_size:
         Modules smaller than this are never split further.
     """
+    check_engine_options("sequential", tau=tau)
     net = FlowNetwork.from_graph(graph, tau=tau)
     top_assignment = _run_levels(
         net, PlainDictAccumulator(), max_levels=_MAX_LEVELS,

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.accum.base import Accumulator
 from repro.accum.factory import make_accumulator
+from repro.core.faults import FaultPlan
 from repro.core.findbest import find_best_pass
 from repro.core.flow import FlowNetwork
 from repro.core.mapequation import MapEquation
@@ -46,6 +47,7 @@ from repro.sim.costmodel import CycleBreakdown, CycleModel
 from repro.sim.counters import Counters, KernelStats
 from repro.sim.machine import MachineConfig, asa_machine, baseline_machine
 from repro.util.rng import make_rng
+from repro.util.validation import is_finite_real, is_int
 
 log = get_logger("core.infomap")
 
@@ -53,6 +55,9 @@ __all__ = [
     "ENGINES",
     "BSP_ENGINES",
     "ENGINE_OPTIONS",
+    "MAX_WORKERS",
+    "OPTION_RULES",
+    "check_engine_options",
     "run_infomap",
     "InfomapResult",
     "IterationRecord",
@@ -150,6 +155,7 @@ BSP_ENGINES = ENGINES[1:]
 #: :func:`run_infomap`'s engine-specific options -> the engines that take
 #: them (every engine takes ``tau``, ``max_levels`` and ``shuffle_seed``);
 #: an option given a value the chosen engine does not take is an error
+#: (the single-rank engines take ``workers=1``)
 ENGINE_OPTIONS = {
     "backend": ("sequential", "multicore"),
     "machine": ("sequential", "multicore"),
@@ -164,6 +170,78 @@ ENGINE_OPTIONS = {
     "init_module": BSP_ENGINES,
     "init_active": BSP_ENGINES,
 }
+
+#: most workers one run may ask for: ``parallel`` forks that many
+#: processes and ``multicore`` builds that many simulated cores
+MAX_WORKERS = 64
+
+
+def _at_least_one(x) -> bool:
+    return is_int(x) and x >= 1
+
+
+def _seconds(x) -> bool:
+    return is_finite_real(x) and x > 0
+
+
+#: the rule each option's value must meet, and how a message words it; a
+#: ``fault_plan`` must be a :class:`FaultPlan` or a string that parses
+#: for the run's ``workers``
+OPTION_RULES = {
+    "workers": (lambda x: is_int(x) and 1 <= x <= MAX_WORKERS,
+                f"an int in [1, {MAX_WORKERS}]"),
+    "seed": (is_int, "an int"),
+    "tau": (lambda x: is_finite_real(x) and 0 < x < 1, "a number in (0, 1)"),
+    "max_levels": (_at_least_one, "an int >= 1"),
+    "max_passes_per_level": (_at_least_one, "an int >= 1"),
+    "deadline": (_seconds, "positive finite seconds"),
+    "worker_timeout": (_seconds, "positive finite seconds"),
+}
+#: an entry point's own name for an option -> the option
+_SPELLINGS = {"num_cores": "workers", "num_ranks": "workers",
+              "shuffle_seed": "seed"}
+#: options that always hold a value; ``None`` leaves any other one unset
+_VALUED = ("workers", "seed", "tau", "max_levels", "max_passes_per_level")
+
+
+def check_engine_options(engine: str, engines=ENGINES, **options) -> None:
+    """The one engine-option check, which every entry point runs before
+    any work: raise ``ValueError`` naming the first option ``engine``
+    does not take (:data:`ENGINE_OPTIONS`) or whose value breaks its
+    rule (:data:`OPTION_RULES`).  ``engines`` are the engines the caller
+    runs.  Options keep the caller's spelling: ``num_cores`` and
+    ``num_ranks`` follow the ``workers`` rule, ``shuffle_seed`` the
+    ``seed`` rule.
+    """
+    if engine not in engines:
+        raise ValueError(f"unknown engine {engine!r}: choose from {engines}")
+    # the worker count first: a ``random:`` fault plan is drawn for it
+    for name in sorted(options,
+                       key=lambda n: _SPELLINGS.get(n, n) != "workers"):
+        option, value = _SPELLINGS.get(name, name), options[name]
+        if value is None and option not in _VALUED:
+            continue
+        takers = ENGINE_OPTIONS.get(option, ENGINES)
+        if option != "workers" and engine not in takers:
+            why = (" (it is enforced by the worker-pool supervision loop)"
+                   if option == "deadline" else "")
+            raise ValueError(f"{name} requires engine "
+                             f"{' or '.join(map(repr, takers))}{why}")
+        holds, what = OPTION_RULES.get(option, (None, None))
+        if holds is not None and not holds(value):
+            raise ValueError(f"{name} must be {what}")
+        if option == "workers" and value != 1 and engine not in takers:
+            raise ValueError(
+                f"engine {engine!r} is single-rank: {name} must be 1"
+            )
+        if option == "fault_plan":
+            if isinstance(value, str):
+                # 2: the parallel engine's default worker count
+                FaultPlan.parse(value, workers=options.get("workers", 2))
+            elif not isinstance(value, FaultPlan):
+                raise ValueError(
+                    "fault_plan must be a FaultPlan or its string spelling"
+                )
 
 
 def run_infomap(
@@ -189,8 +267,10 @@ def run_infomap(
 
     Every engine-specific option defaults to ``None``, meaning the chosen
     engine's own default.  A value given for an option the engine does
-    not take (:data:`ENGINE_OPTIONS`) raises ``ValueError``; every other
-    value reaches the engine unchanged.
+    not take (:data:`ENGINE_OPTIONS`), or one that breaks its rule
+    (:data:`OPTION_RULES`), raises ``ValueError`` before any work starts
+    (:func:`check_engine_options`); every other value reaches the engine
+    unchanged.
 
     Parameters
     ----------
@@ -217,7 +297,8 @@ def run_infomap(
         differ slightly across *schedules* (sequential vs batched).
     workers:
         Core/worker count for the ``multicore`` and ``parallel`` engines
-        (default 2).  The single-rank engines accept only ``1``.
+        (default 2, at most :data:`MAX_WORKERS`).  The single-rank
+        engines accept only ``1``.
     max_passes_per_level:
         FindBestCommunity pass cap per level: 10 by default, 30 on
         ``vectorized``.
@@ -270,12 +351,8 @@ def run_infomap(
         Per the ``engine`` choice; all expose ``modules``,
         ``num_modules``, ``codelength``, ``levels`` and ``telemetry``.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}: choose from {ENGINES}")
-    if workers == 1 and engine not in ENGINE_OPTIONS["workers"]:
-        workers = None  # a single-rank engine runs one rank
     options = {
-        "backend": backend, "machine": machine,
+        "shuffle_seed": shuffle_seed, "backend": backend, "machine": machine,
         "max_passes_per_level": max_passes_per_level,
         "worklist": worklist, "accumulator_kwargs": accumulator_kwargs,
         "workers": workers, "fault_plan": fault_plan,
@@ -284,12 +361,10 @@ def run_infomap(
         "init_active": init_active,
     }
     given = {k: v for k, v in options.items() if v is not None}
-    for name in given:
-        if engine not in ENGINE_OPTIONS[name]:
-            raise ValueError(
-                f"{name}= does not apply to engine {engine!r} (only to "
-                f"{', '.join(ENGINE_OPTIONS[name])})"
-            )
+    check_engine_options(engine, tau=tau, max_levels=max_levels, **given)
+    given.pop("shuffle_seed", None)
+    if engine not in ENGINE_OPTIONS["workers"]:
+        given.pop("workers", None)  # a single-rank engine runs one rank
     if engine == "sequential":
         backend = given.pop("backend", "plain")
         with trace_span("infomap.run", engine="sequential", backend=backend):
@@ -407,8 +482,6 @@ def _run_levels(
     callers that want only the partition (:mod:`repro.core.hierarchy`)
     or the accumulator's key stream (:mod:`repro.asa.trace`).
     """
-    if max_levels < 1:
-        raise ValueError(f"max_levels must be >= 1, got {max_levels}")
     ctx = ctx or HardwareContext(baseline_machine())
     stats = stats or KernelStats()
     recorder = recorder or TelemetryRecorder("sequential",

@@ -43,7 +43,11 @@ from repro.accum.factory import make_accumulator
 from repro.core.bsp import ProposeBackend, run_bsp_infomap
 from repro.core.findbest import find_best_pass
 from repro.core.flow import FlowNetwork
-from repro.core.infomap import IterationRecord, _charge_pagerank
+from repro.core.infomap import (
+    IterationRecord,
+    _charge_pagerank,
+    check_engine_options,
+)
 from repro.core.partition import Partition
 from repro.core.supernode import convert_to_supernodes
 from repro.core.update import update_members
@@ -305,8 +309,10 @@ def run_infomap_multicore(
         (see :func:`repro.core.bsp.run_bsp_infomap`) — the incremental
         recompute path of :mod:`repro.core.dynamic`.
     """
-    if num_cores < 1:
-        raise ValueError("num_cores must be >= 1")
+    check_engine_options(
+        "multicore", num_cores=num_cores, seed=seed, tau=tau,
+        max_levels=max_levels, max_passes_per_level=max_passes_per_level,
+    )
     if machine is None:
         machine = asa_machine() if backend == "asa" else baseline_machine()
 

@@ -109,6 +109,7 @@ from repro.core.faults import (
     FaultPlan,
 )
 from repro.core.flow import FlowNetwork
+from repro.core.infomap import check_engine_options
 from repro.core.vectorized import Workspace
 from repro.graph.csr import CSRGraph
 from repro.obs import metrics as obs_metrics
@@ -846,8 +847,8 @@ def run_infomap_parallel(
     ----------
     workers:
         Number of worker processes (each owns one shard of the vertices,
-        edge-balanced).  Must be >= 1; a single worker still runs in a
-        separate process.
+        edge-balanced), in ``[1, MAX_WORKERS]``; a single worker still
+        runs in a separate process.
     seed:
         Seeds the commit's conflict-backoff RNG.
     start_method:
@@ -883,16 +884,16 @@ def run_infomap_parallel(
         first-pass order is always a subset of each worker's block, so
         the worker protocol and reply buffers are unchanged.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    check_engine_options(
+        "parallel", workers=workers, seed=seed, tau=tau,
+        max_levels=max_levels, max_passes_per_level=max_passes_per_level,
+        fault_plan=fault_plan, worker_timeout=worker_timeout,
+        deadline=deadline,
+    )
     if isinstance(fault_plan, str):
         fault_plan = FaultPlan.parse(fault_plan, workers=workers)
     if worker_timeout is None and fault_plan is not None:
         worker_timeout = DEFAULT_WORKER_TIMEOUT
-    if worker_timeout is not None and worker_timeout <= 0:
-        raise ValueError("worker_timeout must be positive seconds (or None)")
-    if deadline is not None and deadline <= 0:
-        raise ValueError("deadline must be positive seconds (or None)")
 
     owns_pool = pool is None
     if owns_pool:

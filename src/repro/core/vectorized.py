@@ -71,6 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.flow import FlowNetwork
+from repro.core.infomap import check_engine_options
 from repro.graph.csr import CSRGraph
 from repro.obs.spans import trace_span
 from repro.obs.telemetry import ConvergenceTelemetry
@@ -624,6 +625,10 @@ def run_infomap_vectorized(
     # bsp imports this module's Workspace, so it is imported here
     from repro.core.bsp import InprocessSweep, run_bsp_infomap
 
+    check_engine_options(
+        "vectorized", seed=seed, tau=tau, max_levels=max_levels,
+        max_passes_per_level=max_passes_per_level,
+    )
     with trace_span("infomap.run", engine="vectorized"):
         out = run_bsp_infomap(
             graph, InprocessSweep(), 1, seed=seed, tau=tau,

@@ -36,14 +36,11 @@ import numpy as np
 
 from repro.graph.build import coalesce_arcs
 from repro.graph.csr import CSRGraph, canonical_rows
+from repro.util.validation import is_int, is_number
 
 __all__ = ["DELTA_OPS", "Delta"]
 
 DELTA_OPS = ("add", "remove")
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -93,9 +90,9 @@ class Delta:
                     )
                 u, v = op[1], op[2]
                 w = op[3] if len(op) == 4 else 1.0
-                if not (_is_int(u) and _is_int(v)):
+                if not (is_int(u) and is_int(v)):
                     raise ValueError(f"{at}: vertex ids must be integers")
-                if isinstance(w, bool) or not isinstance(w, (int, float)):
+                if not is_number(w):
                     raise ValueError(f"{at}: weight must be a number")
                 try:
                     w = float(w)
@@ -111,7 +108,7 @@ class Delta:
                         f"got {len(op) - 1} argument(s)"
                     )
                 u, v = op[1], op[2]
-                if not (_is_int(u) and _is_int(v)):
+                if not (is_int(u) and is_int(v)):
                     raise ValueError(f"{at}: vertex ids must be integers")
                 ops.append(("remove", u, v))
         return Delta(ops=tuple(ops))
@@ -152,7 +149,7 @@ class Delta:
                         f"delta op {i}: 'remove' needs (op, u, v)"
                     )
                 _, u, v = op
-            if not (_is_int(u) and _is_int(v)):
+            if not (is_int(u) and is_int(v)):
                 raise ValueError(f"delta op {i}: vertex ids must be integers")
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise ValueError(

@@ -84,6 +84,7 @@ from repro.service.jobs import STATUS_REJECTED, JobResult, JobSpec
 from repro.service.jobsfile import _GraphResolver, spec_fields_from_json
 from repro.service.router import RendezvousRouter, TokenBucket
 from repro.service.service import JobService
+from repro.util.validation import is_number
 
 __all__ = ["GatewayConfig", "Gateway", "REJECT_INVALID",
            "REJECT_RATE_LIMIT", "REJECT_BACKPRESSURE", "graph_to_wire"]
@@ -453,7 +454,7 @@ class Gateway:
         meta["tenant"] = tenant
         at = obj.get("at")
         if at is not None:
-            if isinstance(at, bool) or not isinstance(at, (int, float)):
+            if not is_number(at):
                 await self._reject(conn, writer, meta, REJECT_INVALID,
                                    f"{where}: 'at' must be a number")
                 return

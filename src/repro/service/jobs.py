@@ -20,15 +20,16 @@ job cannot take down a batch.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.faults import FaultPlan
 from repro.core.infomap import BSP_ENGINES as ENGINES
+from repro.core.infomap import MAX_WORKERS, check_engine_options
 from repro.graph.csr import CSRGraph
-from repro.service.delta import Delta, _is_int
+from repro.service.delta import Delta
+from repro.util.validation import is_int
 
 __all__ = [
     "ENGINES",
@@ -42,23 +43,11 @@ __all__ = [
     "JobResult",
 ]
 
-#: most workers one job may ask for: ``parallel`` forks that many
-#: processes and ``multicore`` builds that many simulated cores
-MAX_WORKERS = 64
-
 STATUS_PENDING = "pending"
 STATUS_COMPLETED = "completed"
 STATUS_FAILED = "failed"
 STATUS_CANCELLED = "cancelled"
 STATUS_REJECTED = "rejected"
-
-
-def _is_real(x) -> bool:
-    """A finite real number (``true``/``false`` are not numbers)."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        return False
-    # an int past the float range is finite; math.isfinite would overflow
-    return isinstance(x, numbers.Integral) or math.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -107,65 +96,33 @@ class JobSpec:
     base_key: str | None = None
 
     def validate(self) -> None:
-        """Raise ``ValueError`` describing the first invalid field."""
+        """Raise ``ValueError`` describing the first invalid field.
+
+        The engine options are judged by the engines' own rule
+        (:func:`repro.core.infomap.check_engine_options`).  Fields are
+        judged in a fixed order, so a spec with several bad fields is
+        always rejected for the same one.
+        """
         if not isinstance(self.graph, CSRGraph):
             raise ValueError(
                 f"graph must be a CSRGraph, got {type(self.graph).__name__}"
             )
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}: choose from {ENGINES}"
-            )
-        if not _is_int(self.workers) or not 1 <= self.workers <= MAX_WORKERS:
-            raise ValueError(f"workers must be an int in [1, {MAX_WORKERS}]")
-        if self.engine == "vectorized" and self.workers != 1:
-            raise ValueError(
-                "engine 'vectorized' is single-rank: workers must be 1"
-            )
-        if not _is_int(self.seed):
-            raise ValueError("seed must be an int")
-        if not _is_int(self.priority):
+        check_engine_options(self.engine, ENGINES, workers=self.workers,
+                             seed=self.seed)
+        if not is_int(self.priority):
             raise ValueError("priority must be an int")
-        if not (_is_real(self.tau) and 0.0 < self.tau < 1.0):
-            raise ValueError("tau must be a number in (0, 1)")
-        if not _is_int(self.max_levels) or self.max_levels < 1:
-            raise ValueError("max_levels must be an int >= 1")
-        if not _is_int(self.max_passes_per_level) \
-                or self.max_passes_per_level < 1:
-            raise ValueError("max_passes_per_level must be an int >= 1")
+        check_engine_options(
+            self.engine, tau=self.tau, max_levels=self.max_levels,
+            max_passes_per_level=self.max_passes_per_level,
+        )
         if not isinstance(self.use_cache, bool):
             raise ValueError("use_cache must be true or false")
         if not isinstance(self.label, str):
             raise ValueError("label must be a string")
-        if self.deadline is not None:
-            if self.engine != "parallel":
-                raise ValueError(
-                    "deadline requires engine 'parallel' (it is enforced "
-                    "by the worker-pool supervision loop)"
-                )
-            if not (_is_real(self.deadline) and self.deadline > 0):
-                raise ValueError("deadline must be positive finite seconds")
-        if self.fault_plan is not None:
-            if self.engine != "parallel":
-                raise ValueError("fault_plan requires engine 'parallel'")
-            if isinstance(self.fault_plan, str):
-                try:
-                    FaultPlan.parse(self.fault_plan, workers=self.workers)
-                except OverflowError:  # a random plan past int64 cells
-                    raise ValueError(
-                        "fault_plan: too many workers for a random plan"
-                    ) from None
-            elif not isinstance(self.fault_plan, FaultPlan):
-                raise ValueError(
-                    "fault_plan must be a FaultPlan or its string spelling"
-                )
-        if self.worker_timeout is not None:
-            if self.engine != "parallel":
-                raise ValueError("worker_timeout requires engine 'parallel'")
-            if not (_is_real(self.worker_timeout) and self.worker_timeout > 0):
-                raise ValueError(
-                    "worker_timeout must be positive finite seconds"
-                )
+        check_engine_options(
+            self.engine, workers=self.workers, deadline=self.deadline,
+            fault_plan=self.fault_plan, worker_timeout=self.worker_timeout,
+        )
         if self.delta is not None:
             if not isinstance(self.delta, Delta):
                 raise ValueError(

@@ -47,8 +47,9 @@ import json
 from typing import Iterable
 
 from repro.graph.csr import CSRGraph
-from repro.service.delta import Delta, _is_int
+from repro.service.delta import Delta
 from repro.service.jobs import JobSpec
+from repro.util.validation import is_int, is_number
 
 __all__ = ["load_jobs", "append_job", "spec_fields_from_json"]
 
@@ -108,21 +109,16 @@ def _check_edges_recipe(recipe, where: str) -> None:
         raise ValueError(f"{where}: 'edges' needs an 'arcs' array")
     for i, arc in enumerate(arcs):
         if (not isinstance(arc, list) or len(arc) not in (2, 3)
-                or not all(_is_int(x) for x in arc[:2])
-                or not all(_is_number(x) for x in arc[2:])):
+                or not all(is_int(x) for x in arc[:2])
+                or not all(is_number(x) for x in arc[2:])):
             raise ValueError(
                 f"{where}: arc {i} must be [u, v] or [u, v, weight] with "
                 f"integer u and v, got {arc!r}"
             )
     nv = recipe.get("num_vertices")
-    if nv is not None and (not _is_int(nv) or nv < 1):
+    if nv is not None and (not is_int(nv) or nv < 1):
         raise ValueError(f"{where}: 'num_vertices' must be an int >= 1")
     _check_directed(recipe, where)
-
-
-def _is_number(x) -> bool:
-    """A JSON number: ``true``/``false`` decode to ``bool``, an ``int``."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _check_directed(obj: dict, where: str) -> None:
@@ -158,7 +154,7 @@ class _GraphResolver:
                 raise ValueError(f"{where}: 'planted' must be an object")
             # every planted_partition parameter is a number or a string
             bad = sorted(k for k, v in recipe.items()
-                         if not (_is_number(v) or isinstance(v, str)))
+                         if not (is_number(v) or isinstance(v, str)))
             if bad:
                 raise ValueError(f"{where}: 'planted' values must be "
                                  f"numbers or strings; {bad} are not")

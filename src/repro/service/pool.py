@@ -18,6 +18,7 @@ forks a fresh one.  ``warm_hits`` / ``cold_spawns`` count what the
 
 from __future__ import annotations
 
+from repro.core.infomap import check_engine_options
 from repro.core.parallel import _WorkerPool
 from repro.obs import metrics as obs_metrics
 from repro.obs.logging import get_logger
@@ -55,7 +56,8 @@ class PoolManager:
         return sorted(self._pools)
 
     def acquire(self, workers: int) -> tuple[_WorkerPool, bool]:
-        """The pool for ``workers``, forking one if none is warm.
+        """The pool for ``workers`` (at most ``MAX_WORKERS``), forking one
+        if none is warm.
 
         Returns ``(pool, warm)`` where ``warm`` says whether the
         fork+handshake was skipped.  The pool stays owned by the
@@ -64,8 +66,7 @@ class PoolManager:
         """
         if self._closed:
             raise RuntimeError("pool manager is closed")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+        check_engine_options("parallel", workers=workers)
         pool = self._pools.get(workers)
         if pool is not None and not pool.closed:
             self.warm_hits += 1

@@ -311,20 +311,19 @@ class JobService:
                 pool, result.warm_pool = self.pools.acquire(spec.workers)
             params = dict(
                 engine=spec.engine, workers=spec.workers, tau=spec.tau,
-                max_levels=spec.max_levels, pool=pool,
+                max_levels=spec.max_levels,
+                max_passes_per_level=spec.max_passes_per_level, pool=pool,
                 deadline=spec.deadline, worker_timeout=spec.worker_timeout,
             )
             if spec.delta is None:
                 r = run_infomap(
                     graph, shuffle_seed=spec.seed,
-                    max_passes_per_level=spec.max_passes_per_level,
                     fault_plan=spec.fault_plan, **params,
                 )
             else:
                 r = warm_refresh(
                     graph, base.modules if base is not None else None,
-                    spec.delta.dirty_vertices(), seed=spec.seed,
-                    max_passes=spec.max_passes_per_level, **params,
+                    spec.delta.dirty_vertices(), seed=spec.seed, **params,
                 )
         except DeadlineExceeded as exc:
             # the pool already restored itself (abort_run inside the

@@ -2,9 +2,29 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Any
 
-__all__ = ["check_positive", "check_probability", "check_in_range", "require"]
+__all__ = ["check_positive", "check_probability", "check_in_range", "require",
+           "is_int", "is_number", "is_finite_real"]
+
+
+def is_int(x: Any) -> bool:
+    """An ``int`` (``True``/``False`` are not)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def is_number(x: Any) -> bool:
+    """A real number, infinities and NaN included (booleans are not)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def is_finite_real(x: Any) -> bool:
+    """A finite real number (booleans are not)."""
+    # an int past the float range is finite; math.isfinite would overflow
+    return is_number(x) and (isinstance(x, numbers.Integral)
+                             or math.isfinite(x))
 
 
 def require(condition: bool, message: str) -> None:

@@ -98,8 +98,8 @@ class TestValidationAlignment:
             run_infomap_distributed(g, tau=0.0)
         with pytest.raises(ValueError, match="max_levels"):
             run_infomap_distributed(g, max_levels=0)
-        with pytest.raises(ValueError, match="max_supersteps_per_level"):
-            run_infomap_distributed(g, max_supersteps_per_level=0)
+        with pytest.raises(ValueError, match="max_passes_per_level"):
+            run_infomap_distributed(g, max_passes_per_level=0)
         with pytest.raises(ValueError, match="compute_rate"):
             run_infomap_distributed(g, compute_rate_ops_per_s=0.0)
 

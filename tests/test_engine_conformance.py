@@ -248,7 +248,7 @@ def test_distributed_bit_identical_to_multicore(family, ranks):
     # RNG at seed 0: at the multicore pass cap it lands exactly there
     g, _ = FAMILIES[family](3)
     rd = run_infomap_distributed(
-        g, num_ranks=ranks, max_supersteps_per_level=10
+        g, num_ranks=ranks, max_passes_per_level=10
     )
     rm = run_infomap_multicore(g, num_cores=ranks, seed=0)
     assert np.array_equal(rd.modules, rm.modules)

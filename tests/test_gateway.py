@@ -20,6 +20,7 @@ mocked transport.  The suite pins the gateway's four contracts:
 
 import asyncio
 import json
+import math
 import socket
 import subprocess
 import sys
@@ -107,6 +108,48 @@ _WIRE_LINES = st.one_of(
                     min_size=1, max_size=4)
     .map(lambda d: json.dumps(d).encode()),
 ).map(lambda line: line.replace(b"\n", b" "))
+
+
+#: 30 vertices (ids 0..29): small enough that every session job is quick
+_SESSION_GRAPH = {"communities": 3, "size": 10, "p_in": 0.5, "p_out": 0.05,
+                  "seed": 1}
+#: mostly one session, sometimes a second that may never open
+_SESSION_NAMES = st.sampled_from(["s", "s", "s", "t"])
+_VERTEX = st.one_of(st.integers(0, 29), st.integers(0, 29),
+                    st.sampled_from([30, -1, 2 ** 63]))
+#: one edge op: valid, out of range, an absent edge (most pairs are),
+#: a non-finite or non-positive weight, or the wrong arity
+_OP = st.one_of(
+    st.tuples(st.just("add"), _VERTEX, _VERTEX, st.one_of(
+        st.floats(0.1, 5.0), st.floats(0.1, 5.0),
+        st.sampled_from([math.nan, math.inf, -1.0, 0.0]))).map(list),
+    st.tuples(st.just("remove"), _VERTEX, _VERTEX).map(list),
+    st.sampled_from([["add", 0], ["remove", 0, 1, 2.0], ["drop", 0, 1],
+                     []]),
+)
+#: a line that opens a live-ingest session: the vectorized engine on
+#: one worker, any JSON value under the other spec keys
+_SESSION_OPENS = st.builds(
+    lambda name, extra: {**extra, "session": name,
+                         "planted": _SESSION_GRAPH,
+                         "engine": "vectorized", "workers": 1},
+    _SESSION_NAMES,
+    st.just({}) | st.dictionaries(st.sampled_from(
+        ["seed", "tau", "max_levels", "max_passes_per_level", "priority",
+         "deadline", "use_cache", "fault_plan", "worker_timeout", "label",
+         "delta", "base_key"]), json_values, max_size=2),
+)
+#: a later line on a session: ops (optionally flushing), a flush or a
+#: close
+_SESSION_LINES = st.one_of(
+    st.builds(lambda name, ops, flush: {"session": name, "ops": ops,
+                                        **({"flush": True} if flush
+                                           else {})},
+              _SESSION_NAMES, st.lists(_OP, min_size=1, max_size=4),
+              st.booleans()),
+    st.builds(lambda name, key: {"session": name, key: True},
+              _SESSION_NAMES, st.sampled_from(["flush", "close"])),
+)
 
 
 def _by_id(rows):
@@ -314,6 +357,41 @@ class TestAdmission:
         rows, _gw = gw_run(_drive, shards=1)
         assert not unhandled, unhandled
         assert len(rows) == len(lines) + 1, rows
+        assert [r["status"] for r in rows
+                if r.get("id") == "valid-job-after-fuzz"] == ["completed"]
+
+    @settings(max_examples=400, deadline=None)
+    @given(opens=st.lists(_SESSION_OPENS, min_size=1, max_size=2),
+           later=st.lists(_SESSION_LINES, min_size=1, max_size=8))
+    def test_sessions_open_and_take_any_ops_and_keep_serving(self, opens,
+                                                             later):
+        """Wire fuzz over live sessions: drawn lines open real sessions
+        on a small planted graph (any JSON value under the other spec
+        keys), then send valid and invalid ops (ids out of range,
+        removes of absent edges, non-finite weights, wrong arity),
+        flushes and closes.  The loop sees no unhandled exception, every
+        row carries a known status, no line starts a worker process,
+        and a valid job sent afterwards completes."""
+        g, _ = FAMILIES["undirected"](0)
+        unhandled, pools = [], []
+
+        async def _drive(gw):
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: unhandled.append(context))
+            client = await GatewayClient.connect("127.0.0.1", gw.port)
+            for line in opens + later:
+                await client.send_raw(json.dumps(line).encode() + b"\n")
+            await client.send(_vec_line(g, 0, id="valid-job-after-fuzz"))
+            return await client.drain_to_eof()
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("repro.service.pool._WorkerPool",
+                       lambda *a, **k: pools.append(a))
+            rows, _gw = gw_run(_drive, shards=1)
+        assert not unhandled, unhandled
+        assert pools == []
+        assert {r["status"] for r in rows} <= {
+            "completed", "buffered", "rejected", "failed"}, rows
         assert [r["status"] for r in rows
                 if r.get("id") == "valid-job-after-fuzz"] == ["completed"]
 
