@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="SECONDS",
                      help="flush liveness gauges (queue depth, pool "
                      "occupancy, cache size) at least this often; 0 "
-                     "flushes after every submit/job (default 0)")
+                     "flushes after every admission and job (default 0)")
     _add_obs_arguments(srv)
 
     smt = sub.add_parser(
@@ -591,19 +591,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     try:
-        specs = load_jobs(args.jobs)
-    except (OSError, ValueError) as exc:
-        print(f"cannot load jobs file: {exc}", file=sys.stderr)
-        return 1
-    if not specs:
-        print(f"no jobs in {args.jobs}", file=sys.stderr)
-        return 1
-    print(f"{len(specs)} job(s) from {args.jobs}")
-    with JobService(
-        max_queue_depth=args.max_queue_depth,
-        cache_entries=args.cache_entries,
-        heartbeat_interval=args.heartbeat,
-    ) as svc:
+        svc = JobService(
+            max_queue_depth=args.max_queue_depth,
+            cache_entries=args.cache_entries,
+            heartbeat_interval=args.heartbeat,
+        )
+    except ValueError as exc:
+        print(f"serve: {exc}", file=sys.stderr)
+        return 2
+    with svc:
+        try:
+            specs = load_jobs(args.jobs)
+        except (OSError, ValueError) as exc:
+            print(f"cannot load jobs file: {exc}", file=sys.stderr)
+            return 1
+        if not specs:
+            print(f"no jobs in {args.jobs}", file=sys.stderr)
+            return 1
+        print(f"{len(specs)} job(s) from {args.jobs}")
         results = svc.run_batch(specs)
         stats = svc.stats()
 

@@ -59,6 +59,7 @@ from repro.graph.build import from_edge_array
 from repro.graph.csr import CSRGraph
 from repro.obs import ledger as obs_ledger
 from repro.obs import metrics as obs_metrics
+from repro.util.validation import is_finite_real
 
 __all__ = [
     "DEFAULT_FULL_RERUN_THRESHOLD",
@@ -323,8 +324,11 @@ class DynamicCommunities:
 
     def add_edge(self, u: int, v: int, weight: float = 1.0) -> None:
         """Insert (or reinforce) an edge; weights of duplicates add up."""
-        if weight <= 0:
-            raise ValueError("weight must be positive")
+        # a NaN or +inf weight would fail every later refresh
+        if not (is_finite_real(weight) and weight > 0):
+            raise ValueError(
+                f"weight must be finite and positive, got {weight!r}"
+            )
         k = self._key(u, v)
         self._edges[k] = self._edges.get(k, 0.0) + weight
         self._dirty.update((u, v))

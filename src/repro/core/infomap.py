@@ -185,12 +185,13 @@ def _seconds(x) -> bool:
 
 
 #: the rule each option's value must meet, and how a message words it; a
-#: ``fault_plan`` must be a :class:`FaultPlan` or a string that parses
-#: for the run's ``workers``
+#: ``fault_plan`` must be a :class:`FaultPlan` or a string that parses,
+#: naming only workers the run has (:meth:`FaultPlan.check_workers`)
 OPTION_RULES = {
     "workers": (lambda x: is_int(x) and 1 <= x <= MAX_WORKERS,
                 f"an int in [1, {MAX_WORKERS}]"),
-    "seed": (is_int, "an int"),
+    # numpy's default_rng, which every engine seeds, refuses a negative
+    "seed": (lambda x: is_int(x) and x >= 0, "an int >= 0"),
     "tau": (lambda x: is_finite_real(x) and 0 < x < 1, "a number in (0, 1)"),
     "max_levels": (_at_least_one, "an int >= 1"),
     "max_passes_per_level": (_at_least_one, "an int >= 1"),
@@ -235,10 +236,13 @@ def check_engine_options(engine: str, engines=ENGINES, **options) -> None:
                 f"engine {engine!r} is single-rank: {name} must be 1"
             )
         if option == "fault_plan":
+            # 2: the parallel engine's default worker count
+            run_workers = options.get("workers", 2)
             if isinstance(value, str):
-                # 2: the parallel engine's default worker count
-                FaultPlan.parse(value, workers=options.get("workers", 2))
-            elif not isinstance(value, FaultPlan):
+                FaultPlan.parse(value, workers=run_workers)
+            elif isinstance(value, FaultPlan):
+                value.check_workers(run_workers)
+            else:
                 raise ValueError(
                     "fault_plan must be a FaultPlan or its string spelling"
                 )

@@ -1,8 +1,9 @@
 """Job service: warm worker pools + content-addressed result caching.
 
-The serving layer over the engines in :mod:`repro.core` — submit many
-community-detection jobs, execute them over persistent resources, get
-structured results back.  See ``docs/service.md`` for the full tour.
+The serving layer over the engines in :mod:`repro.core` — hand it a
+batch of community-detection jobs, it executes them over persistent
+resources and returns structured results.  See ``docs/service.md`` for
+the full tour.
 """
 
 from repro.service.cache import CacheEntry, ResultCache, cache_key, graph_digest
@@ -17,7 +18,6 @@ from repro.service.jobs import (
     JobSpec,
 )
 from repro.service.pool import PoolManager
-from repro.service.scheduler import QueuedJob, Scheduler
 from repro.service.service import JobService
 
 __all__ = [
@@ -34,7 +34,5 @@ __all__ = [
     "cache_key",
     "graph_digest",
     "PoolManager",
-    "QueuedJob",
-    "Scheduler",
     "JobService",
 ]

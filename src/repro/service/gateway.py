@@ -190,10 +190,9 @@ class _Shard:
 
     def __init__(self, name: str, config: GatewayConfig) -> None:
         self.name = name
-        # scheduler depth is never the limiter (jobs run one at a
-        # time); +1 headroom keeps admission at the gateway queue
+        # one one-job batch per request: admission happens at the
+        # gateway queue, never at the service's depth bound
         self.service = JobService(
-            max_queue_depth=config.queue_depth + 1,
             cache_entries=config.cache_entries,
             start_method=config.start_method or "spawn",
         )

@@ -7,7 +7,7 @@ how it is run (priority, deadline, cache participation, chaos plan).
 Specs are immutable and self-validating — :meth:`JobSpec.validate`
 raises ``ValueError`` with a human-readable reason, whatever type a
 field holds (a jobs file can put any JSON value in any of them), which
-the scheduler's admission control converts into a structured rejection
+the service's admission control converts into a structured rejection
 instead of letting it escape a batch.
 
 A :class:`JobResult` is the *only* way the service reports an outcome:
@@ -179,7 +179,7 @@ class JobResult:
     warm_pool: bool = False
     #: workers respawned by the supervisor during this job
     respawns: int = 0
-    #: seconds between submission and execution start
+    #: seconds between admission and execution start
     queue_seconds: float = 0.0
     #: seconds spent executing (0 for rejected jobs)
     run_seconds: float = 0.0

@@ -37,7 +37,7 @@ spec field.
 File-level problems (bad JSON, unknown keys, missing graph source) fail
 fast with the line number: a batch driver should refuse a file it
 cannot fully parse.  *Job*-level problems (bad tau, bad engine) are
-left for the scheduler's admission control to reject structurally, so
+left for the service's admission control to reject structurally, so
 one invalid job never blocks the rest of the file.
 """
 

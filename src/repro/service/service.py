@@ -1,8 +1,9 @@
 """The job service: many community-detection jobs, persistent resources.
 
 :class:`JobService` is the serving layer the ROADMAP's "heavy traffic"
-north star needs: callers submit :class:`~repro.service.jobs.JobSpec`\\ s
-and drain :class:`~repro.service.jobs.JobResult`\\ s, while the service
+north star needs: callers hand :meth:`JobService.run_batch` a batch of
+:class:`~repro.service.jobs.JobSpec`\\ s and get one
+:class:`~repro.service.jobs.JobResult` per spec back, while the service
 amortizes the per-run setup the engines would otherwise pay every call —
 exactly the cost structure the paper amortizes in hardware by keeping
 the ASA CAM resident across FindBestCommunity sweeps:
@@ -25,16 +26,21 @@ Execution contract (pinned by ``tests/test_service.py``):
 
 * results are **bit-identical** to cold ``run_infomap`` calls at equal
   parameters — warm pools and cache hits are invisible in the output;
-* job order is the scheduler's deterministic priority+FIFO order;
+* a batch's admitted jobs run highest ``priority`` first, ties in
+  submission order — a pure function of the batch;
 * every job comes back as a result — ``completed``, ``cancelled``
   (deadline), ``failed`` (engine error), or ``rejected`` (admission) —
-  and a failing job never prevents the next one from running.
+  and a failing job never prevents the next one from running;
+* a finished job is the caller's: the service keeps counts of
+  outcomes, never the results themselves (only the LRU-bounded cache
+  holds partitions).
 """
 
 from __future__ import annotations
 
 import time
 import traceback
+from collections import Counter
 
 from repro.core.dynamic import warm_refresh
 from repro.core.infomap import run_infomap
@@ -58,7 +64,6 @@ from repro.service.jobs import (
     JobSpec,
 )
 from repro.service.pool import PoolManager
-from repro.service.scheduler import QueuedJob, Scheduler
 
 __all__ = ["JobService"]
 
@@ -66,23 +71,24 @@ log = get_logger("service")
 
 
 class JobService:
-    """Submit-and-drain runner over warm pools and a result cache.
+    """Batch runner over warm pools and a result cache.
 
     Parameters
     ----------
     max_queue_depth:
-        Admission bound; surplus submissions are rejected structurally.
+        Admission bound: at most this many jobs of one batch are
+        admitted; the surplus is rejected structurally.
     cache_entries:
         LRU capacity of the result cache; ``0`` disables caching.
     start_method:
         Multiprocessing start method for pools (default: the parallel
         engine's — ``fork`` where available).
     heartbeat_interval:
-        Seconds between stats heartbeats (gauge flushes of scheduler
+        Seconds between stats heartbeats (gauge flushes of queue
         depth, pool occupancy, cache size — the liveness signal a
         long-lived ``repro serve`` exposes through ``--metrics-out``).
-        ``0`` flushes at every opportunity (each submit and each
-        drained job); ``None`` (default) disables the periodic flush —
+        ``0`` flushes at every opportunity (each admission and each
+        finished job); ``None`` (default) disables the periodic flush —
         :meth:`heartbeat` can still be called explicitly.
     """
 
@@ -93,110 +99,110 @@ class JobService:
         start_method: str | None = None,
         heartbeat_interval: float | None = None,
     ) -> None:
-        if heartbeat_interval is not None and heartbeat_interval < 0:
+        if max_queue_depth < 1:
+            raise ValueError("max_queue_depth must be >= 1")
+        # written so that NaN, which would silence every heartbeat, fails
+        if heartbeat_interval is not None and not heartbeat_interval >= 0:
             raise ValueError("heartbeat_interval must be >= 0 (or None)")
-        self.scheduler = Scheduler(max_queue_depth=max_queue_depth)
+        self.max_queue_depth = max_queue_depth
         self.pools = PoolManager(start_method=start_method)
         self.cache = ResultCache(max_entries=cache_entries)
-        #: every finished/rejected outcome, keyed by job id
-        self.results: dict[int, JobResult] = {}
+        #: jobs submitted so far, and so the next job id: ids carry on
+        #: across batches, and a rejected job takes one too
+        self._submitted = 0
+        self._rejected = 0
+        #: jobs of the running batch admitted and not yet run
+        self._depth = 0
+        #: how many jobs ended in each status, in first-seen order
+        self._outcomes: Counter[str] = Counter()
         self._closed = False
         self._heartbeat_interval = heartbeat_interval
         self.heartbeats = 0
         self._started_at = time.monotonic()
         self._last_heartbeat = self._started_at
 
-    # ------------------------------------------------------------ submit
-    def submit(self, spec: JobSpec) -> int:
-        """Admit one job; returns its id.
-
-        A rejected job (invalid spec, full queue) gets an immediate
-        ``rejected`` :class:`JobResult` in :attr:`results` — nothing is
-        raised, matching the scheduler's structured-failure contract.
-        """
-        if self._closed:
-            raise RuntimeError("job service is closed")
-        job_id, reason = self.scheduler.admit(spec)
-        self._count("service.jobs.submitted")
-        if reason is not None:
-            self.results[job_id] = JobResult(
-                job_id=job_id,
-                status=STATUS_REJECTED,
-                label=spec.label or getattr(spec.graph, "name", ""),
-                engine=spec.engine,
-                workers=spec.workers,
-                seed=spec.seed if isinstance(spec.seed, int) else 0,
-                error=reason,
-            )
-            self._count("service.jobs.rejected")
-            log.warning("job %d rejected: %s", job_id, reason)
-        self._gauge("service.queue.depth", len(self.scheduler))
-        self._maybe_heartbeat()
-        return job_id
-
-    def submit_many(self, specs: list[JobSpec]) -> list[int]:
-        return [self.submit(s) for s in specs]
-
-    def cancel(self, job_id: int) -> bool:
-        """Cancel a queued job (running jobs cancel via their deadline)."""
-        cancelled = self.scheduler.cancel(job_id)
-        if cancelled:
-            self.results[job_id] = JobResult(
-                job_id=job_id,
-                status=STATUS_CANCELLED,
-                error="cancelled while queued",
-            )
-            self._count("service.jobs.cancelled")
-        return cancelled
-
-    # ------------------------------------------------------------- drain
-    def drain(self) -> list[JobResult]:
-        """Run every queued job in scheduler order; return their results.
-
-        Jobs execute one at a time (the determinism contract); each
-        outcome is also recorded in :attr:`results`.
-        """
-        if self._closed:
-            raise RuntimeError("job service is closed")
-        out: list[JobResult] = []
-        while True:
-            queued = self.scheduler.pop()
-            if queued is None:
-                break
-            result = self._execute(queued)
-            self.results[result.job_id] = result
-            out.append(result)
-            self._gauge("service.queue.depth", len(self.scheduler))
-            self._maybe_heartbeat()
-        return out
-
+    # --------------------------------------------------------------- run
     def run_batch(self, specs: list[JobSpec]) -> list[JobResult]:
-        """Submit + drain in one call (results in execution order)."""
-        ids = set(self.submit_many(specs))
-        results = self.drain()
-        # rejected jobs never reach the queue; splice them in by id order
-        drained = {r.job_id for r in results}
-        rejected = [
-            self.results[i] for i in sorted(ids - drained)
-            if i in self.results
-        ]
-        return sorted(results + rejected, key=lambda r: r.job_id)
+        """Admit, order and run one batch; one result per spec.
+
+        Admission goes in submission order: an invalid spec
+        (:meth:`~repro.service.jobs.JobSpec.validate`) is rejected,
+        then any spec past ``max_queue_depth`` admitted jobs.  A
+        rejection is a ``rejected`` :class:`JobResult`, never an
+        exception.  The admitted jobs then run one at a time (the
+        determinism contract), highest ``priority`` first and equal
+        priorities in submission order.  Results come back in job-id
+        (submission) order.
+        """
+        if self._closed:
+            raise RuntimeError("job service is closed")
+        results: list[JobResult] = []
+        admitted: list[tuple[int, JobSpec, float]] = []
+        for spec in specs:
+            job_id = self._submitted
+            self._submitted += 1
+            self._count("service.jobs.submitted")
+            reason = self._admission_error(spec, len(admitted))
+            if reason is None:
+                # queue latency is measured from here
+                admitted.append((job_id, spec, time.monotonic()))
+            else:
+                self._rejected += 1
+                self._outcomes[STATUS_REJECTED] += 1
+                self._count("service.jobs.rejected")
+                results.append(JobResult(
+                    job_id=job_id,
+                    status=STATUS_REJECTED,
+                    label=spec.label or getattr(spec.graph, "name", ""),
+                    engine=spec.engine,
+                    workers=spec.workers,
+                    seed=spec.seed if isinstance(spec.seed, int) else 0,
+                    error=reason,
+                ))
+                log.warning("job %d rejected: %s", job_id, reason)
+            self._depth = len(admitted)
+            self._gauge("service.queue.depth", self._depth)
+            self._maybe_heartbeat()
+        # admission validated every priority as an int; job ids are
+        # unique, so the order is total
+        admitted.sort(key=lambda job: (-job[1].priority, job[0]))
+        try:
+            for job_id, spec, admitted_at in admitted:
+                self._depth -= 1
+                results.append(self._execute(job_id, spec, admitted_at))
+                self._gauge("service.queue.depth", self._depth)
+                self._maybe_heartbeat()
+        finally:
+            self._depth = 0
+        return sorted(results, key=lambda r: r.job_id)
+
+    def _admission_error(self, spec: JobSpec, depth: int) -> str | None:
+        """Why ``spec`` cannot join a batch with ``depth`` jobs admitted
+        already, or ``None`` when it can."""
+        try:
+            spec.validate()
+        except ValueError as exc:
+            return f"invalid job spec: {exc}"
+        if depth >= self.max_queue_depth:
+            return (f"queue full: {depth} job(s) pending "
+                    f"(max_queue_depth={self.max_queue_depth})")
+        return None
 
     # ----------------------------------------------------------- execute
-    def _execute(self, queued: QueuedJob) -> JobResult:
-        spec = queued.spec
+    def _execute(self, job_id: int, spec: JobSpec,
+                 admitted_at: float) -> JobResult:
         result = JobResult(
-            job_id=queued.job_id,
+            job_id=job_id,
             status=STATUS_FAILED,
             label=spec.label or spec.graph.name,
             engine=spec.engine,
             workers=spec.workers,
             seed=spec.seed,
-            queue_seconds=time.monotonic() - queued.submitted_at,
+            queue_seconds=time.monotonic() - admitted_at,
         )
         t0 = time.perf_counter()
         with trace_span(
-            "service.job", job=queued.job_id, engine=spec.engine,
+            "service.job", job=job_id, engine=spec.engine,
             workers=spec.workers,
         ):
             key = cache_key(spec) if spec.cacheable else None
@@ -221,6 +227,7 @@ class JobService:
                     ),
                 )
         result.run_seconds = time.perf_counter() - t0
+        self._outcomes[result.status] += 1
         self._count(f"service.jobs.{result.status}")
         self._observe("service.job.queue_seconds", result.queue_seconds)
         self._observe("service.job.run_seconds", result.run_seconds)
@@ -371,11 +378,11 @@ class JobService:
         """
         snap = {
             "uptime_seconds": time.monotonic() - self._started_at,
-            "queue_depth": len(self.scheduler),
+            "queue_depth": self._depth,
             "pools": len(self.pools),
             "pool_workers": sum(self.pools.worker_counts()),
             "cache_size": len(self.cache),
-            "results": len(self.results),
+            "results": self._outcomes.total(),
         }
         self.heartbeats += 1
         self._count("service.heartbeats")
@@ -397,20 +404,23 @@ class JobService:
 
     # ---------------------------------------------------------- lifecycle
     def stats(self) -> dict:
-        """One JSON-ready snapshot of queue / cache / pool counters."""
-        by_status: dict[str, int] = {}
-        for r in self.results.values():
-            by_status[r.status] = by_status.get(r.status, 0) + 1
+        """One JSON-ready snapshot of queue / cache / pool counters;
+        ``results`` counts the jobs that ended in each status."""
         return {
-            "scheduler": self.scheduler.stats(),
+            "scheduler": {
+                "depth": self._depth,
+                "max_queue_depth": self.max_queue_depth,
+                "submitted": self._submitted,
+                "rejected": self._rejected,
+            },
             "cache": self.cache.stats(),
             "pools": self.pools.stats(),
-            "results": by_status,
+            "results": dict(self._outcomes),
             "heartbeats": self.heartbeats,
         }
 
     def close(self) -> None:
-        """Release every pool; queued jobs are abandoned.  Idempotent."""
+        """Release every pool and empty the cache.  Idempotent."""
         if self._closed:
             return
         self._closed = True

@@ -80,6 +80,19 @@ class TestDynamicBasics:
         with pytest.raises(ValueError):
             dyn.add_edge(0, 1, weight=0.0)
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight_refused_at_add_edge(self, weight):
+        """NaN and +inf pass ``weight <= 0``: they must be refused when
+        added, not by every later refresh."""
+        dyn = DynamicCommunities(4)
+        dyn.add_edge(0, 1)
+        dyn.add_edge(2, 3)
+        with pytest.raises(ValueError, match="positive"):
+            dyn.add_edge(1, 2, weight)
+        assert dyn.num_edges == 2
+        res = dyn.refresh()
+        assert res.num_modules == 2
+
     def test_empty_graph_refresh_defined(self):
         """An edgeless graph refreshes to singletons at codelength 0,
         rather than leaking ``graph()``'s ValueError."""

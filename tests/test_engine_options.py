@@ -31,7 +31,7 @@ from repro.asa.trace import record_trace
 from repro.cli import _validate_run_args, build_parser
 from repro.core.distributed import run_infomap_distributed
 from repro.core.dynamic import DynamicCommunities, warm_refresh
-from repro.core.faults import FaultPlan
+from repro.core.faults import FaultPlan, FaultSpec
 from repro.core.hierarchy import run_infomap_hierarchical
 from repro.core.infomap import BSP_ENGINES, MAX_WORKERS, run_infomap
 from repro.core.multicore import run_infomap_multicore
@@ -186,12 +186,17 @@ def test_bad_value_rejected_before_any_work(entry, option, value,
 @pytest.mark.parametrize("call", [
     lambda: run_infomap(GRAPH, engine="vectorized", shuffle_seed=True),
     lambda: run_infomap(GRAPH, engine="vectorized", shuffle_seed=2.5),
+    lambda: run_infomap(GRAPH, engine="vectorized", shuffle_seed=-1),
     lambda: run_infomap_vectorized(GRAPH, seed=2.5),
+    lambda: run_infomap_vectorized(GRAPH, seed=-1),
     lambda: run_infomap_hierarchical(GRAPH, tau=0.0),
     lambda: DynamicCommunities(4, tau=1.0),
     lambda: DynamicCommunities(4, seed="0"),
-], ids=["run-seed-bool", "run-seed-float", "vectorized-seed-float",
-        "hierarchy-tau", "dynamic-tau", "dynamic-seed"])
+    lambda: DynamicCommunities(4, seed=-1),
+], ids=["run-seed-bool", "run-seed-float", "run-seed-negative",
+        "vectorized-seed-float", "vectorized-seed-negative",
+        "hierarchy-tau", "dynamic-tau", "dynamic-seed",
+        "dynamic-seed-negative"])
 def test_seed_and_tau_judged_on_every_path(call, work_trapped):
     with pytest.raises(ValueError, match="seed|tau"):
         call()
@@ -218,6 +223,28 @@ def test_bsp_engines_reject_zero_levels(engine, kwargs):
     }[engine]
     with pytest.raises(ValueError, match="max_levels"):
         direct()
+
+
+# ---------------------------------------------------------------------------
+# a fault plan names only workers the run has: one that never fires
+# would read as a passed recovery check
+
+
+@pytest.mark.parametrize("plan", [
+    "kill@w5:b1",
+    FaultPlan((FaultSpec("kill", worker=2, barrier=0),)),
+], ids=["string", "object"])
+def test_fault_plan_worker_bound_judged_before_any_work(plan,
+                                                        runners_trapped,
+                                                        work_trapped):
+    with pytest.raises(ValueError, match="names worker"):
+        run_infomap(GRAPH, engine="parallel", workers=2, fault_plan=plan)
+    with pytest.raises(ValueError, match="names worker"):
+        JobSpec(graph=GRAPH, workers=2, fault_plan=plan).validate()
+    assert runners_trapped == [] and work_trapped == []
+    # one more worker and the same plan is admitted
+    with pytest.raises(_Ran):
+        run_infomap(GRAPH, engine="parallel", workers=6, fault_plan=plan)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +306,8 @@ def test_distributed_ranks_follow_the_worker_rule():
     (["--tau", "nan"], "--tau"),
     (["--engine", "parallel", "--worker-timeout", "inf"],
      "--worker-timeout"),
+    (["--engine", "parallel", "--workers", "2", "--fault-plan",
+      "kill@w5:b1"], "--fault-plan"),
 ])
 def test_run_flags_judged_by_the_engine_rule(argv, flag, capsys):
     parser = build_parser()

@@ -224,18 +224,20 @@ def test_bad_worker_timeout_rejected():
 
 
 def test_plan_parse_roundtrip():
-    plan = FaultPlan.parse("kill@w0:b1,hang@w1:b3:l2, slow@w2:b0")
+    plan = FaultPlan.parse("kill@w0:b1,hang@w1:b3:l2, slow@w2:b0",
+                           workers=3)
     assert plan.specs == (
         FaultSpec("kill", 0, 1),
         FaultSpec("hang", 1, 3, level=2),
         FaultSpec("slow", 2, 0),
     )
-    assert FaultPlan.parse(str(plan)) == plan
+    assert FaultPlan.parse(str(plan), workers=3) == plan
 
 
 @pytest.mark.parametrize("text", [
     "", "explode@w0:b1", "kill@0:1", "kill@w0", "kill@w0:b-1",
     "random:", "random:x", "random:1:2:3",
+    "kill@w2:b0",  # names a worker the default 2-worker run lacks
 ])
 def test_plan_parse_rejects_bad_spellings(text):
     with pytest.raises(ValueError):

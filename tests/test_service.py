@@ -1,6 +1,6 @@
 """End-to-end suite for the job service (``repro.service``).
 
-The service's contract (docs/service.md) in four enforceable claims:
+The service's contract (docs/service.md) in five enforceable claims:
 
 * **invisible amortization** — a job executed on a warm pool, or served
   from the result cache, is bit-identical to a cold ``run_infomap``
@@ -12,7 +12,9 @@ The service's contract (docs/service.md) in four enforceable claims:
   back ``rejected``; none of them raises, and the service runs the next
   job normally (the pool recovers or is rebuilt);
 * **deterministic scheduling** — priority+FIFO order and queue-full
-  rejection are pure functions of the submitted batch.
+  rejection are pure functions of the submitted batch;
+* **nothing kept** — the service counts outcomes but holds no finished
+  job, so a long-lived shard does not grow with the jobs it serves.
 
 The CLI spelling (``repro submit`` / ``repro serve``) is smoked at the
 bottom on a generated jobs file — the same flow CI runs.
@@ -38,7 +40,6 @@ from repro.service import (
     STATUS_REJECTED,
     JobService,
     JobSpec,
-    Scheduler,
 )
 from repro.service.jobs import MAX_WORKERS
 from repro.service.jobsfile import _SPEC_KEYS, load_jobs
@@ -198,23 +199,36 @@ def test_engine_crash_reports_failed_and_next_job_runs(monkeypatch):
 # deterministic scheduling: priority order, queue-full rejection
 
 
+def _recording_run_job(ran):
+    """``JobService._run_job`` that also appends each spec it runs to
+    ``ran`` — how a test observes execution order."""
+    real = JobService._run_job
+
+    def run_job(self, spec, result):
+        ran.append(spec)
+        real(self, spec, result)
+
+    return mock.patch.object(JobService, "_run_job", run_job)
+
+
 def _order_of(priorities, depth=64):
-    """Execution order (by submission index) of a priority batch."""
+    """Execution order and rejections (by submission index) of a
+    priority batch."""
     g = _graph()
-    with JobService(max_queue_depth=depth, cache_entries=0) as svc:
-        ids = svc.submit_many(
+    ran = []
+    with _recording_run_job(ran), \
+            JobService(max_queue_depth=depth, cache_entries=0) as svc:
+        results = svc.run_batch(
             [
                 JobSpec(graph=g, engine="vectorized", workers=1,
                         seed=i, priority=p, use_cache=False)
                 for i, p in enumerate(priorities)
             ]
         )
-        results = svc.drain()
-    executed = [r.seed for r in results]  # seed == submission index
-    rejected = [
-        i for i in ids
-        if svc.results[i].status == STATUS_REJECTED
-    ]
+    # results come back in submission order, whatever ran first
+    assert [r.seed for r in results] == list(range(len(priorities)))
+    executed = [spec.seed for spec in ran]  # seed == submission index
+    rejected = [r.seed for r in results if r.status == STATUS_REJECTED]
     return executed, rejected
 
 
@@ -239,12 +253,90 @@ def test_queue_full_rejects_surplus_deterministically():
 def test_queue_full_rejection_is_structured():
     g = _graph()
     with JobService(max_queue_depth=1) as svc:
-        svc.submit(JobSpec(graph=g, engine="vectorized", workers=1))
-        jid = svc.submit(JobSpec(graph=g, engine="vectorized", workers=1))
-        r = svc.results[jid]
-        assert r.status == STATUS_REJECTED
-        assert "queue full" in r.error and "max_queue_depth=1" in r.error
-        svc.drain()
+        ran, r = svc.run_batch([
+            JobSpec(graph=g, engine="vectorized", workers=1),
+            JobSpec(graph=g, engine="vectorized", workers=1),
+        ])
+    assert ran.ok
+    assert r.status == STATUS_REJECTED
+    assert "queue full" in r.error and "max_queue_depth=1" in r.error
+
+
+def test_batch_admission_contract():
+    """One batch pins the whole admission contract: validation before
+    the depth bound, in submission order; the admitted jobs run by
+    priority; the queue-depth gauge and heartbeats follow every
+    admission and every finished job; ``stats`` counts it all."""
+    g = _graph()
+    depths, ran = [], []
+    real_gauge = JobService._gauge
+
+    def gauge(name, value):
+        if name == "service.queue.depth":
+            depths.append(value)
+        real_gauge(name, value)
+
+    specs = [JobSpec(graph=g, engine="vectorized", workers=1, seed=i,
+                     priority=p, label=f"p{p}-{i}")
+             for i, p in enumerate((0, 9, 0, 0))]
+    specs.append(JobSpec(graph=g, engine="vectorized", workers=4))
+    with _recording_run_job(ran), \
+            mock.patch.object(JobService, "_gauge", staticmethod(gauge)), \
+            JobService(max_queue_depth=2, heartbeat_interval=0) as svc:
+        results = svc.run_batch(specs)
+        stats = svc.stats()
+    assert [r.status for r in results] == [
+        STATUS_COMPLETED, STATUS_COMPLETED,
+        STATUS_REJECTED, STATUS_REJECTED, STATUS_REJECTED,
+    ]
+    assert [spec.label for spec in ran] == ["p9-1", "p0-0"]
+    assert [r.error for r in results[2:]] == [
+        "queue full: 2 job(s) pending (max_queue_depth=2)",
+        "queue full: 2 job(s) pending (max_queue_depth=2)",
+        "invalid job spec: engine 'vectorized' is single-rank: "
+        "workers must be 1",
+    ]
+    assert depths == [1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 1, 1, 0, 0]
+    assert stats["heartbeats"] == 7
+    assert stats["scheduler"] == {"depth": 0, "max_queue_depth": 2,
+                                  "submitted": 5, "rejected": 3}
+    assert stats["results"] == {"rejected": 3, "completed": 2}
+    assert list(stats["results"]) == ["rejected", "completed"]
+
+
+def test_job_ids_carry_on_across_batches():
+    g = _graph()
+    with JobService(max_queue_depth=1) as svc:
+        first = svc.run_batch([
+            JobSpec(graph=g, engine="vectorized", workers=1),
+            JobSpec(graph=g, engine="vectorized", workers=1),  # full
+        ])
+        (second,) = svc.run_batch(
+            [JobSpec(graph=g, engine="vectorized", workers=1, seed=1)])
+        stats = svc.stats()["scheduler"]
+    assert [r.job_id for r in first] == [0, 1]
+    # each batch has the whole depth bound to itself
+    assert second.job_id == 2 and second.ok
+    assert stats == {"depth": 0, "max_queue_depth": 1, "submitted": 3,
+                     "rejected": 1}
+
+
+def test_service_keeps_no_finished_job():
+    """The service counts outcomes and keeps no result: once the caller
+    drops a result, its partition is freed (the LRU-bounded cache is
+    the only keeper of partitions, and it is off here)."""
+    import gc
+    import weakref
+
+    with JobService(cache_entries=0) as svc:
+        (r,) = svc.run_batch([JobSpec(graph=_graph(), engine="vectorized",
+                                      workers=1)])
+        assert r.ok
+        modules = weakref.ref(r.modules)
+        del r
+        gc.collect()
+        assert modules() is None
+        assert svc.stats()["results"] == {"completed": 1}
 
 
 def test_invalid_spec_rejected_without_poisoning_batch():
@@ -267,18 +359,27 @@ def test_invalid_spec_rejected_without_poisoning_batch():
                 JobSpec(graph=g, engine="parallel", workers=2**62),
                 JobSpec(graph=g, engine="parallel", workers=10**5,
                         fault_plan="random:1:100000"),
+                # well typed but unrunnable as asked: numpy's default_rng
+                # refuses a negative seed inside the engine, and a plan
+                # naming a worker the run lacks would never fire
+                JobSpec(graph=g, engine="vectorized", workers=1, seed=-1),
+                JobSpec(graph=g, engine="parallel", workers=2,
+                        fault_plan="kill@w5:b1"),
             ]
         )
     assert [r.status for r in results] == [
         STATUS_COMPLETED, STATUS_REJECTED, STATUS_COMPLETED,
         STATUS_REJECTED, STATUS_REJECTED,
         STATUS_REJECTED, STATUS_REJECTED, STATUS_REJECTED,
+        STATUS_REJECTED, STATUS_REJECTED,
     ]
     assert "single-rank" in results[1].error
     assert "tau" in results[3].error
     assert "max_levels must be an int" in results[4].error
-    for r in results[5:]:
+    for r in results[5:8]:
         assert f"workers must be an int in [1, {MAX_WORKERS}]" in r.error
+    assert "seed must be an int >= 0" in results[8].error
+    assert "names worker 5" in results[9].error
 
 
 @pytest.mark.parametrize("priority", ["x", None, 1.5])
@@ -342,22 +443,9 @@ def test_any_jobs_line_is_admitted_or_rejected_with_value_error(lines):
                                            STATUS_REJECTED}
 
 
-def test_cancel_queued_job_before_drain():
-    g = _graph()
-    with JobService() as svc:
-        keep = svc.submit(JobSpec(graph=g, engine="vectorized", workers=1))
-        drop = svc.submit(JobSpec(graph=g, engine="vectorized", workers=1,
-                                  seed=1))
-        assert svc.cancel(drop)
-        assert not svc.cancel(drop)  # second cancel is a no-op
-        results = svc.drain()
-        assert [r.job_id for r in results] == [keep]
-        assert svc.results[drop].status == STATUS_CANCELLED
-
-
-def test_scheduler_rejects_bad_depth():
-    with pytest.raises(ValueError):
-        Scheduler(max_queue_depth=0)
+def test_service_rejects_bad_depth():
+    with pytest.raises(ValueError, match="max_queue_depth must be >= 1"):
+        JobService(max_queue_depth=0)
 
 
 # ---------------------------------------------------------------------------
@@ -630,9 +718,7 @@ def test_closed_service_refuses_work():
     svc.close()
     svc.close()  # idempotent
     with pytest.raises(RuntimeError):
-        svc.submit(JobSpec(graph=_graph()))
-    with pytest.raises(RuntimeError):
-        svc.drain()
+        svc.run_batch([JobSpec(graph=_graph())])
 
 
 def test_service_close_releases_all_pools_and_segments():
@@ -663,8 +749,8 @@ def test_stats_shape():
 
 
 def test_heartbeat_gauges_flushed_during_batch():
-    """With heartbeat_interval=0 every submit/drain step flushes the
-    liveness gauges, so a --metrics-out snapshot taken after a batch
+    """With heartbeat_interval=0 every admission and finished job flushes
+    the liveness gauges, so a --metrics-out snapshot taken after a batch
     carries them (the docs/observability.md catalog names)."""
     from repro.obs.metrics import scoped_registry
 
@@ -857,6 +943,27 @@ def test_cli_submit_delta_rejects_bad_input(tmp_path, capsys):
     # nothing was appended by any failed submit
     import os
     assert not os.path.exists(jobs)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--max-queue-depth", "0", "max_queue_depth must be >= 1"),
+    ("--heartbeat", "-1", "heartbeat_interval must be >= 0"),
+    # NaN passes ``< 0`` and would silently flush no heartbeat at all
+    ("--heartbeat", "nan", "heartbeat_interval must be >= 0"),
+])
+def test_cli_serve_bad_service_flag_is_usage_error(tmp_path, capsys, flag,
+                                                   value, message):
+    from repro.cli import main
+
+    jobs = tmp_path / "jobs.jsonl"
+    jobs.write_text(
+        json.dumps({"planted": json.loads(_PLANTED),
+                    "engine": "vectorized", "workers": 1}) + "\n"
+    )
+    assert main(["serve", "--jobs", str(jobs), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("serve: ") and message in err
+    assert "Traceback" not in err
 
 
 def test_cli_serve_exit_code_reflects_failed_jobs(tmp_path):

@@ -461,7 +461,7 @@ def test_service_survives_repeated_kill_faults_across_jobs():
 def test_bad_fault_plan_is_rejected_not_raised():
     g = _planted()
     with JobService() as svc:
-        jid = svc.submit(JobSpec(graph=g, workers=2,
-                                 fault_plan="explode@w0:b1"))
-        assert svc.results[jid].status == "rejected"
-        assert "invalid job spec" in svc.results[jid].error
+        (r,) = svc.run_batch([JobSpec(graph=g, workers=2,
+                                      fault_plan="explode@w0:b1")])
+    assert r.status == "rejected"
+    assert "invalid job spec" in r.error
