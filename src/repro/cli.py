@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from typing import Iterator, Sequence
@@ -74,6 +75,21 @@ EXPERIMENTS = (
     "fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
     "fig11", "overflow", "lfr",
 )
+
+
+def _tolerance(text: str) -> float:
+    """``repro trend --tolerance``: a finite number >= 0.  NaN would
+    read every key as stable and a negative value every key as
+    regressed, so either would break the regression gate."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}"
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,9 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="treat larger metric values as better "
                     "(throughputs, speedups, NMI); default is "
                     "lower-is-better (wall times)")
-    tr.add_argument("--tolerance", type=float, default=0.10,
+    tr.add_argument("--tolerance", type=_tolerance, default=0.10,
                     help="relative change vs the prior median that "
-                    "counts as a regression/improvement (default 0.10)")
+                    "counts as a regression/improvement: a finite "
+                    "number >= 0 (default 0.10)")
     tr.add_argument("--run-key", default=None, metavar="PREFIX",
                     help="only run_keys starting with PREFIX")
     tr.add_argument("--engine", default=None,

@@ -35,7 +35,7 @@ barrier) — only where the propose executes differs.
 from repro.core.flow import FlowNetwork, pagerank
 from repro.core.mapequation import MapEquation
 from repro.core.partition import Partition
-from repro.core.infomap import run_infomap, InfomapResult, IterationRecord
+from repro.core.infomap import run_infomap, InfomapResult
 from repro.core.vectorized import (
     run_infomap_vectorized,
     VectorizedResult,
@@ -54,7 +54,6 @@ __all__ = [
     "Partition",
     "run_infomap",
     "InfomapResult",
-    "IterationRecord",
     "run_infomap_vectorized",
     "VectorizedResult",
     "Workspace",

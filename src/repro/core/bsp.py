@@ -47,7 +47,7 @@ HyPC-Map's cheap deterministic merge at the barrier.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,12 @@ from repro.core.supernode import convert_to_supernodes
 from repro.core.vectorized import MIN_IMPROVEMENT, Workspace
 from repro.graph.csr import CSRGraph
 from repro.obs.spans import trace_span
-from repro.obs.telemetry import TelemetryRecorder, publish_run_metrics
+from repro.obs.telemetry import (
+    ConvergenceTelemetry,
+    PassTelemetry,
+    TelemetryRecorder,
+    publish_run_metrics,
+)
 from repro.util.entropy import plogp_array
 from repro.util.rng import make_rng
 
@@ -65,7 +70,6 @@ __all__ = [
     "ProposeBackend",
     "InprocessSweep",
     "BSPOutcome",
-    "BSPPassRecord",
     "edge_balanced_blocks",
     "active_neighborhood",
     "split_active_by_block",
@@ -319,26 +323,6 @@ class InprocessSweep(ProposeBackend):
         return verts, targets
 
 
-@dataclass(frozen=True)
-class BSPPassRecord:
-    """One barrier-synchronous pass (telemetry-grade record)."""
-
-    level: int
-    pass_in_level: int
-    vertices: int  #: (super)nodes at this level
-    #: propose rounds (= barriers): 1, or 0 when every order was empty
-    rounds: int
-    active_vertices: int
-    proposed: int
-    applied: int
-    codelength: float
-    wall_seconds: float
-    seconds: float  #: simulated parallel seconds (multicore) or wall
-    #: proposals :func:`hold_back` kept out of the commit; ``proposed -
-    #: held_back - applied`` is what the backoff halving dropped
-    held_back: int = 0
-
-
 @dataclass
 class BSPOutcome:
     """What :func:`run_bsp_infomap` hands back to the engine wrapper."""
@@ -348,9 +332,13 @@ class BSPOutcome:
     codelength: float
     one_level_codelength: float
     levels: int
-    passes: list[BSPPassRecord] = field(default_factory=list)
-    telemetry: object = None
+    telemetry: ConvergenceTelemetry
     pagerank_iterations: int = 0
+
+    @property
+    def passes(self) -> list[PassTelemetry]:
+        """One record per pass: the telemetry's own list."""
+        return self.telemetry.passes
 
 
 def run_bsp_infomap(
@@ -435,7 +423,6 @@ def run_bsp_infomap(
     n0 = graph.num_vertices
     mapping = np.arange(n0, dtype=np.int64)
 
-    passes: list[BSPPassRecord] = []
     levels = 0
     flat_length = one_level
     converged = False
@@ -468,11 +455,10 @@ def run_bsp_infomap(
                 for p in range(num_cores)
             ]
             active_count = sum(len(order) for _, order in shards)
-            rounds = held = 0
+            held = 0
             verts = applied = np.empty(0, dtype=np.int64)
             with trace_span("findbest", level=level, pass_=pass_idx):
                 if active_count:
-                    rounds = 1
                     backend.on_barrier(level, pass_idx, barrier)
                     barrier += 1
                     verts, targets = backend.propose(
@@ -492,30 +478,19 @@ def run_bsp_infomap(
             wall = time.perf_counter() - wall0
             sim = backend.end_pass()
             recorder.record_kernel("findbest", wall)
-            recorder.record_pass(
+            recorder.record_pass(PassTelemetry(
                 level=level,
                 pass_in_level=pass_idx,
+                vertices=n,
                 active_vertices=active_count,
-                moves=len(applied),
+                proposed=len(verts),
+                held_back=held,
+                applied=len(applied),
                 num_modules=ws.num_modules(module),
                 codelength=length + flat_offset,
                 wall_seconds=wall,
-            )
-            passes.append(
-                BSPPassRecord(
-                    level=level,
-                    pass_in_level=pass_idx,
-                    vertices=n,
-                    rounds=rounds,
-                    active_vertices=active_count,
-                    proposed=len(verts),
-                    applied=len(applied),
-                    codelength=length + flat_offset,
-                    wall_seconds=wall,
-                    seconds=sim if sim is not None else wall,
-                    held_back=held,
-                )
-            )
+                seconds=sim if sim is not None else wall,
+            ))
             if len(applied) == 0:
                 break
             active_sets = list(split_active_by_block(
@@ -547,7 +522,6 @@ def run_bsp_infomap(
         codelength=flat_length,
         one_level_codelength=one_level,
         levels=levels,
-        passes=passes,
         telemetry=telemetry,
         pagerank_iterations=pagerank_iterations,
     )

@@ -12,8 +12,9 @@ Runs the full multilevel schedule on one simulated core:
 Steps 2–3 are one private loop, which :mod:`repro.core.hierarchy` and
 :func:`repro.asa.trace.record_trace` run too.  All hardware events land in a :class:`~repro.sim.counters.KernelStats`,
 from which :class:`InfomapResult` derives the per-kernel timing breakdown
-(Fig 2), architectural metrics (Fig 8), and per-iteration runtimes
-(Tables III/IV).
+(Fig 2) and architectural metrics (Fig 8).  Each pass's simulated
+FindBest seconds, the per-iteration runtimes of Tables III/IV, are its
+``telemetry.passes`` record's ``seconds``.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from repro.obs.logging import get_logger
 from repro.obs.spans import trace_span
 from repro.obs.telemetry import (
     ConvergenceTelemetry,
+    PassTelemetry,
     TelemetryRecorder,
     publish_run_metrics,
 )
@@ -60,7 +62,6 @@ __all__ = [
     "check_engine_options",
     "run_infomap",
     "InfomapResult",
-    "IterationRecord",
 ]
 
 #: HyPC-Map runs its PageRank kernel by power iteration regardless of
@@ -69,19 +70,6 @@ __all__ = [
 #: is charged as if the power method ran its typical iteration count, so
 #: the Fig 2a kernel breakdown keeps the right proportions.
 UNDIRECTED_PAGERANK_COST_ITERS = 30
-
-
-@dataclass(frozen=True)
-class IterationRecord:
-    """One FindBestCommunity pass: what Tables III/IV time per iteration."""
-
-    iteration: int
-    level: int
-    pass_in_level: int
-    nodes: int
-    moves: int
-    codelength: float
-    seconds: float
 
 
 @dataclass
@@ -93,7 +81,6 @@ class InfomapResult:
     codelength: float
     one_level_codelength: float
     levels: int
-    iterations: list[IterationRecord]
     stats: KernelStats
     machine: MachineConfig
     backend: str
@@ -134,15 +121,12 @@ class InfomapResult:
     def overflow_seconds(self) -> float:
         return self.breakdown(self.stats.findbest_overflow).seconds
 
-    @property
-    def effective_codelength_bits(self) -> float:
-        return self.codelength
-
     def summary(self) -> str:
         return (
             f"InfomapResult({self.backend}: {self.num_modules} modules, "
             f"L={self.codelength:.4f} bits, {self.levels} levels, "
-            f"{len(self.iterations)} passes, {self.total_seconds:.3f} sim-s)"
+            f"{self.telemetry.num_passes} passes, "
+            f"{self.total_seconds:.3f} sim-s)"
         )
 
 
@@ -446,7 +430,6 @@ def _run_infomap(
         codelength=run.codelength,
         one_level_codelength=run.one_level_codelength,
         levels=run.levels,
-        iterations=run.iterations,
         stats=stats,
         machine=machine,
         backend=backend,
@@ -457,14 +440,13 @@ def _run_infomap(
 
 
 class _Levels(NamedTuple):
-    """What :func:`_run_levels` found: the flat partition and its passes."""
+    """What :func:`_run_levels` found: the flat partition."""
 
     modules: np.ndarray
     num_modules: int
     codelength: float
     one_level_codelength: float
     levels: int
-    iterations: list[IterationRecord]
     converged: bool
 
 
@@ -493,7 +475,6 @@ def _run_levels(
     cm = CycleModel(ctx.machine)
     mapping = np.arange(net.num_vertices, dtype=np.int64)
     rng = make_rng(shuffle_seed) if shuffle_seed is not None else None
-    iterations: list[IterationRecord] = []
     one_level = MapEquation.one_level_codelength(net.node_flow)
     # Σ plogp(p_α) over original vertices: converts supernode-level
     # codelengths back to true flat-partition codelengths
@@ -519,28 +500,22 @@ def _run_levels(
             wall = time.perf_counter() - wall0
             after = cm.cycles(stats.findbest).seconds
             codelength = partition.flat_codelength(node_flow_log0)
-            nodes = net.num_vertices if order is None else len(order)
             recorder.record_kernel("findbest", wall)
-            recorder.record_pass(
+            # moves apply as they are found: none is held back
+            recorder.record_pass(PassTelemetry(
                 level=level,
                 pass_in_level=pass_idx,
-                active_vertices=nodes,
-                moves=moves,
+                vertices=net.num_vertices,
+                active_vertices=(net.num_vertices if order is None
+                                 else len(order)),
+                proposed=moves,
+                held_back=0,
+                applied=moves,
                 num_modules=partition.num_modules,
                 codelength=codelength,
                 wall_seconds=wall,
-            )
-            iterations.append(
-                IterationRecord(
-                    iteration=len(iterations) + 1,
-                    level=level,
-                    pass_in_level=pass_idx,
-                    nodes=nodes,
-                    moves=moves,
-                    codelength=codelength,
-                    seconds=after - before,
-                )
-            )
+                seconds=after - before,
+            ))
             if moves == 0:
                 break
             active = _active_set(net, moved) if worklist else None
@@ -571,7 +546,6 @@ def _run_levels(
         codelength=codelength,
         one_level_codelength=one_level,
         levels=level + 1,
-        iterations=iterations,
         converged=converged,
     )
 

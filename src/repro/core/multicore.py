@@ -24,8 +24,9 @@ simulated cores by running the shared barrier-synchronous schedule of
   per-core counters exactly as the sequential engine would, while the
   authoritative proposals come from the batched sweep;
 * the pass's parallel time is the *maximum* over cores of the cycles that
-  core spent, plus one barrier cost; per-core metrics
-  (Figs 9–11) come from the per-core counters.
+  core spent, plus one barrier cost — the ``seconds`` of the pass's
+  ``telemetry.passes`` record; per-core metrics (Figs 9–11) come from
+  the per-core counters.
 
 PageRank, Convert2SuperNode, and UpdateMembers are parallelized in
 HyPC-Map as well; their (bulk-counted) work is split evenly across cores,
@@ -35,7 +36,7 @@ that owns each applied vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,11 +44,7 @@ from repro.accum.factory import make_accumulator
 from repro.core.bsp import ProposeBackend, run_bsp_infomap
 from repro.core.findbest import find_best_pass
 from repro.core.flow import FlowNetwork
-from repro.core.infomap import (
-    IterationRecord,
-    _charge_pagerank,
-    check_engine_options,
-)
+from repro.core.infomap import _charge_pagerank, check_engine_options
 from repro.core.partition import Partition
 from repro.core.supernode import convert_to_supernodes
 from repro.core.update import update_members
@@ -76,13 +73,10 @@ class MulticoreResult:
     num_modules: int
     codelength: float
     levels: int
-    iterations: list[IterationRecord]
     per_core_stats: list[KernelStats]
     machine: MachineConfig
     backend: str
     num_cores: int
-    #: simulated parallel seconds per pass (max over cores + barrier)
-    pass_seconds: list[float] = field(default_factory=list)
     overflowed_vertices: int = 0
     #: measured-wall-time convergence record (see repro.obs.telemetry)
     telemetry: ConvergenceTelemetry | None = None
@@ -91,23 +85,6 @@ class MulticoreResult:
         return CycleModel(self.machine)
 
     # ------------------------------------------------------------------
-    def parallel_kernel_seconds(self) -> dict[str, float]:
-        """Per-kernel parallel time: max over cores (the Fig 7 bars)."""
-        cm = self.cycle_model()
-        out: dict[str, float] = {}
-        for name in self.per_core_stats[0].components():
-            out[name] = max(
-                cm.cycles(ks.components()[name]).seconds for ks in self.per_core_stats
-            )
-        return out
-
-    @property
-    def parallel_seconds(self) -> float:
-        cm = self.cycle_model()
-        per_core = [cm.cycles(ks.total).seconds for ks in self.per_core_stats]
-        barrier = self.machine.barrier_cycles / self.machine.freq_hz
-        return max(per_core) + barrier * max(1, len(self.iterations))
-
     @property
     def hash_seconds_parallel(self) -> float:
         """Parallel hash-operation time (max over cores)."""
@@ -336,18 +313,6 @@ def run_infomap_multicore(
             init_active=init_active,
         )
 
-    iterations = [
-        IterationRecord(
-            iteration=i + 1,
-            level=p.level,
-            pass_in_level=p.pass_in_level,
-            nodes=p.vertices,
-            moves=p.applied,
-            codelength=p.codelength,
-            seconds=p.seconds,
-        )
-        for i, p in enumerate(outcome.passes)
-    ]
     overflowed = sum(
         getattr(a, "overflowed_vertices", 0) for a in sim.accumulators
     )
@@ -358,12 +323,10 @@ def run_infomap_multicore(
         num_modules=outcome.num_modules,
         codelength=outcome.codelength,
         levels=outcome.levels,
-        iterations=iterations,
         per_core_stats=sim.stats,
         machine=machine,
         backend=backend,
         num_cores=num_cores,
-        pass_seconds=[p.seconds for p in outcome.passes],
         overflowed_vertices=overflowed,
         telemetry=outcome.telemetry,
     )

@@ -82,10 +82,8 @@ bit-identical to a cold run at the same seed because workers hold no
 state between binds.  :mod:`repro.service` builds its
 :class:`~repro.service.pool.PoolManager` on exactly these hooks.
 
-The start method defaults to ``fork`` where available (cheapest; workers
-inherit the interpreter state) and can be overridden with the
-``REPRO_MP_START`` environment variable (``fork`` | ``spawn`` |
-``forkserver``).
+The start method is ``fork`` where available (cheapest; workers inherit
+the interpreter state), else ``spawn``.
 """
 
 from __future__ import annotations
@@ -101,7 +99,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.core import arena
-from repro.core.bsp import BSPPassRecord, ProposeBackend, run_bsp_infomap
+from repro.core.bsp import ProposeBackend, run_bsp_infomap
 from repro.core.faults import (
     DEFAULT_WORKER_TIMEOUT,
     SLOW_SECONDS,
@@ -139,7 +137,6 @@ class ParallelResult:
     one_level_codelength: float
     levels: int
     num_workers: int
-    passes: list[BSPPassRecord]
     #: total worker-side sweep wall seconds, per worker
     worker_propose_seconds: list[float] = field(default_factory=list)
     #: total master-side propose wall (dispatch -> all gathered), all rounds
@@ -179,7 +176,7 @@ class ParallelResult:
         return (
             f"ParallelResult({self.num_workers} workers: "
             f"{self.num_modules} modules, L={self.codelength:.4f} bits, "
-            f"{self.levels} levels, {len(self.passes)} passes, "
+            f"{self.levels} levels, {self.telemetry.num_passes} passes, "
             f"{self.sweep_throughput:,.0f} sweep verts/s{recovery})"
         )
 
@@ -360,9 +357,6 @@ def _worker_main(conn, worker_id: int) -> None:
 # ------------------------------------------------------------ master side
 
 def _start_method() -> str:
-    env = os.environ.get("REPRO_MP_START")
-    if env:
-        return env
     return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
@@ -825,7 +819,6 @@ def run_infomap_parallel(
     max_levels: int = 20,
     max_passes_per_level: int = 10,
     seed: int = 0,
-    start_method: str | None = None,
     fault_plan: FaultPlan | str | None = None,
     worker_timeout: float | None = None,
     pool: "_WorkerPool | None" = None,
@@ -851,9 +844,6 @@ def run_infomap_parallel(
         runs in a separate process.
     seed:
         Seeds the commit's conflict-backoff RNG.
-    start_method:
-        ``fork`` / ``spawn`` / ``forkserver``; defaults to ``fork`` where
-        available, overridable via ``REPRO_MP_START``.
     fault_plan:
         Optional :class:`repro.core.faults.FaultPlan` (or its string
         spelling, e.g. ``"kill@w0:b1"`` or ``"random:42:2"``) injecting
@@ -898,8 +888,7 @@ def run_infomap_parallel(
     owns_pool = pool is None
     if owns_pool:
         pool = _WorkerPool(
-            workers, start_method,
-            fault_plan=fault_plan, worker_timeout=worker_timeout,
+            workers, fault_plan=fault_plan, worker_timeout=worker_timeout,
         )
     else:
         if pool.closed:
@@ -974,7 +963,6 @@ def run_infomap_parallel(
         one_level_codelength=outcome.one_level_codelength,
         levels=outcome.levels,
         num_workers=workers,
-        passes=outcome.passes,
         worker_propose_seconds=pool.worker_propose_seconds,
         propose_seconds=pool.propose_seconds,
         proposed_vertices=pool.proposed_vertices,

@@ -96,7 +96,6 @@ class VectorizedResult:
     codelength: float
     one_level_codelength: float
     levels: int
-    rounds: int
     #: measured-wall-time convergence record (see repro.obs.telemetry)
     telemetry: ConvergenceTelemetry | None = None
 
@@ -104,7 +103,7 @@ class VectorizedResult:
         return (
             f"VectorizedResult({self.num_modules} modules, "
             f"L={self.codelength:.4f} bits, {self.levels} levels, "
-            f"{self.rounds} rounds)"
+            f"{self.telemetry.num_passes} passes)"
         )
 
 
@@ -641,6 +640,5 @@ def run_infomap_vectorized(
         codelength=out.codelength,
         one_level_codelength=out.one_level_codelength,
         levels=out.levels,
-        rounds=len(out.passes),
         telemetry=out.telemetry,
     )

@@ -239,7 +239,7 @@ def table3_validation(
             graph, backend="softhash", machine=machine,
             engine="sequential" if cores == 1 else "multicore",
             workers=cores,
-        ).iterations
+        ).telemetry.passes
         for machine in (native_machine("fast"), baseline_machine("detailed"))
     ]
 

@@ -1,13 +1,14 @@
 """Per-run convergence telemetry.
 
-Every engine (sequential, vectorized, multicore) records one
-:class:`PassTelemetry` per FindBestCommunity pass/round — codelength,
-moved-vertex count, module count, measured wall time — plus one
+Every engine records one :class:`PassTelemetry` per FindBestCommunity
+pass — the pass's one record: worklist, proposed / held-back / applied
+moves, module count, codelength, wall and engine seconds — plus one
 :class:`LevelTelemetry` per coarsening level, bundled into a
-:class:`ConvergenceTelemetry` attached to the engine's result object.
-This is the *measured Python runtime* counterpart to the simulated
-hardware counters in :mod:`repro.sim`: it answers "why did this run
-converge (or not), and where did the wall time go".
+:class:`ConvergenceTelemetry` attached to the engine's result object
+(``result.telemetry.passes``).  This is the *measured Python runtime*
+counterpart to the simulated hardware counters in :mod:`repro.sim`: it
+answers "why did this run converge (or not), and where did the wall
+time go".
 
 :func:`publish_run_metrics` pushes the standard metric series
 (``infomap.passes``, ``codelength.bits`` per level, per-kernel wall-time
@@ -35,15 +36,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PassTelemetry:
-    """One FindBestCommunity pass (or vectorized round)."""
+    """One FindBestCommunity pass, the one record every engine keeps.
+
+    ``proposed - held_back - applied`` is what the BSP commit's backoff
+    halving dropped; the sequential engine applies each move as it finds
+    it, so there ``proposed == applied`` and ``held_back == 0``.
+    """
 
     level: int
     pass_in_level: int
-    active_vertices: int  #: vertices visited this pass (worklist size)
-    moves: int
+    vertices: int  #: (super)nodes at this level
+    active_vertices: int  #: vertices swept this pass (worklist size)
+    proposed: int  #: improving moves the sweep found
+    #: proposals :func:`repro.core.bsp.hold_back` kept out of the commit
+    held_back: int
+    applied: int  #: moves that landed
     num_modules: int  #: modules at the *current* level after the pass
     codelength: float  #: flat (level-0 vertex) codelength in bits
     wall_seconds: float  #: measured Python wall time of the pass
+    #: the engine's pass time: simulated FindBest seconds (sequential),
+    #: simulated parallel seconds (multicore), else wall time
+    seconds: float
+
+    @property
+    def rounds(self) -> int:
+        """Propose rounds (= barriers): 1, or 0 when the worklist was
+        empty."""
+        return 1 if self.active_vertices else 0
 
 
 @dataclass(frozen=True)
@@ -62,7 +81,8 @@ class LevelTelemetry:
 class ConvergenceTelemetry:
     """Convergence + wall-time record of one Infomap run."""
 
-    engine: str  #: "sequential" | "vectorized" | "multicore"
+    #: "sequential" | "vectorized" | "multicore" | "parallel" | "distributed"
+    engine: str
     backend: str | None = None
     num_cores: int = 1
     passes: list[PassTelemetry] = field(default_factory=list)
@@ -80,7 +100,7 @@ class ConvergenceTelemetry:
 
     @property
     def total_moves(self) -> int:
-        return sum(p.moves for p in self.passes)
+        return sum(p.applied for p in self.passes)
 
     @property
     def final_codelength(self) -> float:
@@ -149,28 +169,9 @@ class TelemetryRecorder:
         self._level_passes = 0
         self._level_start = time.perf_counter()
 
-    def record_pass(
-        self,
-        level: int,
-        pass_in_level: int,
-        active_vertices: int,
-        moves: int,
-        num_modules: int,
-        codelength: float,
-        wall_seconds: float,
-    ) -> None:
+    def record_pass(self, record: PassTelemetry) -> None:
         self._level_passes += 1
-        self._tele.passes.append(
-            PassTelemetry(
-                level=level,
-                pass_in_level=pass_in_level,
-                active_vertices=active_vertices,
-                moves=moves,
-                num_modules=num_modules,
-                codelength=codelength,
-                wall_seconds=wall_seconds,
-            )
-        )
+        self._tele.passes.append(record)
 
     def end_level(self, modules_after: int, codelength: float) -> None:
         start = self._level_start if self._level_start is not None else self._t0
@@ -227,7 +228,7 @@ def publish_run_metrics(tele: ConvergenceTelemetry, *,
     )
     moves_hist = reg.histogram("findbest.moves_per_pass", engine=eng)
     for p in tele.passes:
-        moves_hist.observe(p.moves)
+        moves_hist.observe(p.applied)
     for kernel, samples in tele.kernel_wall_seconds.items():
         h = reg.histogram("kernel.wall_seconds", engine=eng, kernel=kernel)
         for s in samples:

@@ -158,15 +158,6 @@ class GatewayConfig:
     #: honour per-line ``at`` stamps for rate-limit decisions instead
     #: of the wall clock (deterministic admission for tests/harness)
     virtual_time: bool = False
-    #: multiprocessing start method for shard pools.  ``None`` means
-    #: ``"spawn"`` here — NOT the engine-wide fork default: the gateway
-    #: process runs an event loop plus shard executor threads, and a
-    #: ``fork()`` from a threaded process can deadlock the child on an
-    #: inherited lock.  Worse, a forked worker inherits every open
-    #: client socket fd, so a long-lived warm pool silently holds
-    #: connections open after the server half-closes them — clients
-    #: waiting for EOF wait forever.  Spawned workers inherit no fds.
-    start_method: str | None = None
 
     def validate(self) -> None:
         if not isinstance(self.shards, int) or self.shards < 1:
@@ -192,9 +183,12 @@ class _Shard:
         self.name = name
         # one one-job batch per request: admission happens at the
         # gateway queue, never at the service's depth bound
+        # spawn, not the engine's fork default: a fork from this
+        # threaded process can deadlock the child on an inherited lock,
+        # and a forked worker inherits the client sockets, holding them
+        # open after the server half-closes them
         self.service = JobService(
-            cache_entries=config.cache_entries,
-            start_method=config.start_method or "spawn",
+            cache_entries=config.cache_entries, start_method="spawn",
         )
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=config.queue_depth)
         self.executor = ThreadPoolExecutor(

@@ -44,7 +44,6 @@ one invalid job never blocks the rest of the file.
 from __future__ import annotations
 
 import json
-from typing import Iterable
 
 from repro.graph.csr import CSRGraph
 from repro.service.delta import Delta
@@ -242,12 +241,3 @@ def append_job(path: str, obj: dict) -> dict:
     with open(path, "a") as fh:
         fh.write(json.dumps(compact, sort_keys=True) + "\n")
     return compact
-
-
-def specs_to_jsonl(objs: Iterable[dict], path: str) -> str:
-    """Write a whole jobs file at once (used by tests and smokes)."""
-    with open(path, "w") as fh:
-        for obj in objs:
-            spec_fields_from_json(obj, where="job")
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
-    return path

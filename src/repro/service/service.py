@@ -309,11 +309,11 @@ class JobService:
                     f"partition to warm-start from"
                 )
                 return
+        pool = None
         try:
             graph = spec.graph
             if spec.delta is not None:
                 graph = spec.delta.apply(graph)
-            pool = None
             if spec.engine == "parallel":
                 pool, result.warm_pool = self.pools.acquire(spec.workers)
             params = dict(
@@ -344,10 +344,11 @@ class JobService:
             log.error(
                 "job %d failed:\n%s", result.job_id, traceback.format_exc()
             )
-            if spec.engine == "parallel":
+            if pool is not None:
                 # abort_run already ran, but an engine that raised may
                 # have left the pool in a state we cannot prove clean —
-                # rebuild cold next time rather than trust it
+                # rebuild cold next time rather than trust it; a job
+                # that failed before acquiring a pool leaves it warm
                 try:
                     self.pools.discard(spec.workers)
                 except Exception:  # pragma: no cover - defensive

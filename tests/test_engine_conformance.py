@@ -40,6 +40,7 @@ This suite pins the contract between them:
 See ``docs/testing.md`` for how this matrix fits the wider test tiers.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,13 @@ def test_engines_recover_planted_truth(family, seed):
 # parallel(P) is bit-identical to multicore(P): the tentpole guarantee
 
 
+def _untimed_passes(r):
+    """The run's pass records without their times: ``seconds`` is
+    simulated on ``multicore`` and wall time elsewhere."""
+    return [replace(p, wall_seconds=0.0, seconds=0.0)
+            for p in r.telemetry.passes]
+
+
 @pytest.mark.parametrize("seed", (0, 1, 7))
 @pytest.mark.parametrize("workers", (1, 2, 4))
 def test_parallel_bit_identical_to_multicore(workers, seed):
@@ -214,6 +222,7 @@ def test_parallel_bit_identical_to_multicore(workers, seed):
     assert rp.codelength == rm.codelength
     assert rp.num_modules == rm.num_modules
     assert rp.levels == rm.levels
+    assert _untimed_passes(rp) == _untimed_passes(rm)
 
 
 @pytest.mark.parametrize("family", ["directed", "weighted", "pathological"])
@@ -239,6 +248,7 @@ def test_vectorized_bit_identical_to_one_core_bsp(family, seed):
         assert np.array_equal(rv.modules, r.modules)
         assert rv.codelength == r.codelength
         assert rv.levels == r.levels
+        assert _untimed_passes(rv) == _untimed_passes(r)
 
 
 @pytest.mark.parametrize("ranks", (1, 2, 4))
@@ -436,8 +446,8 @@ def test_explicit_options_reach_the_engine():
     via = run_infomap(g, engine="vectorized", max_passes_per_level=1)
     direct = run_infomap_vectorized(g, max_passes_per_level=1)
     assert np.array_equal(via.modules, direct.modules)
-    assert (via.codelength, via.levels, via.rounds) == (
-        direct.codelength, direct.levels, direct.rounds)
+    assert (via.codelength, via.levels, via.telemetry.num_passes) == (
+        direct.codelength, direct.levels, direct.telemetry.num_passes)
 
     via = run_infomap(g, engine="multicore", workers=2, backend="plain")
     direct = run_infomap_multicore(g, num_cores=2, backend="plain")

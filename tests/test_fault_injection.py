@@ -55,7 +55,8 @@ def _baseline(family):
     if family not in _BASELINES:
         g, _ = FAMILIES[family](SEED)
         r = run_infomap_parallel(g, workers=WORKERS, seed=SEED)
-        _BASELINES[family] = (g, r, sum(p.rounds for p in r.passes))
+        _BASELINES[family] = (
+            g, r, sum(p.rounds for p in r.telemetry.passes))
     return _BASELINES[family]
 
 
@@ -296,5 +297,6 @@ def test_round_accounting_and_dirty_state_skip():
     """
     g, _ = FAMILIES["undirected"](SEED)
     r = run_infomap_parallel(g, workers=WORKERS, seed=SEED)
-    assert all(p.rounds == 1 for p in r.passes)
-    assert r.rounds == sum(p.rounds for p in r.passes) == r.state_writes
+    passes = r.telemetry.passes
+    assert all(p.rounds == 1 for p in passes)
+    assert r.rounds == sum(p.rounds for p in passes) == r.state_writes

@@ -82,13 +82,15 @@ class TestSequentialEngine:
     def test_iteration_records(self):
         g, _ = planted_partition(4, 20, 0.4, 0.02, seed=6)
         r = run_infomap(g, backend="softhash")
-        assert len(r.iterations) >= 2
-        assert [it.iteration for it in r.iterations] == list(
-            range(1, len(r.iterations) + 1)
-        )
-        assert all(it.seconds >= 0 for it in r.iterations)
+        passes = r.telemetry.passes
+        assert len(passes) >= 2
+        # pass numbers restart at 0 on each level and count up by one
+        for a, b in zip(passes, passes[1:]):
+            assert (b.level, b.pass_in_level) in (
+                (a.level, a.pass_in_level + 1), (a.level + 1, 0))
+        assert all(p.seconds >= 0 for p in passes)
         # codelength is non-increasing across records
-        ls = [it.codelength for it in r.iterations]
+        ls = [p.codelength for p in passes]
         assert all(b <= a + 1e-9 for a, b in zip(ls, ls[1:]))
 
     def test_modules_dense_labels(self):
@@ -184,7 +186,7 @@ class TestVectorizedEngine:
         g, _ = planted_partition(6, 20, 0.5, 0.02, seed=9)
         r = run_infomap_vectorized(g)
         assert r.codelength < r.one_level_codelength * 1.5
-        assert r.rounds >= 1
+        assert r.telemetry.num_passes >= 1
 
 
 class TestMulticoreEngine:

@@ -304,6 +304,19 @@ class TestTrendCLI:
         assert main(["trend", "--ledger", seeded_ledger,
                      "--tolerance", "0.5", "--fail-on-regression"]) == 0
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_tolerance_must_be_finite_and_non_negative(
+        self, seeded_ledger, capsys, value
+    ):
+        """NaN would read every key as stable and a negative tolerance
+        every key as regressed: both are usage errors."""
+        with pytest.raises(SystemExit) as exc:
+            main(["trend", "--ledger", seeded_ledger, "--tolerance", value,
+                  "--fail-on-regression"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--tolerance" in err and "Traceback" not in err
+
     def test_json_out(self, seeded_ledger, tmp_path, capsys):
         report = tmp_path / "report.json"
         assert main(["trend", "--ledger", seeded_ledger,

@@ -5,8 +5,10 @@ import pytest
 
 from repro.core.infomap import run_infomap
 from repro.core.multicore import run_infomap_multicore
+from repro.core.parallel import run_infomap_parallel
 from repro.core.vectorized import run_infomap_vectorized
 from repro.graph.generators import planted_partition, ring_of_cliques
+from repro.graph.stream import stream_rmat
 from repro.obs.export import jsonable
 from repro.obs.metrics import scoped_registry
 from repro.obs.telemetry import ConvergenceTelemetry
@@ -43,11 +45,11 @@ class TestTelemetryPresence:
         r = run_infomap(graph, backend="softhash")
         for p in r.telemetry.passes:
             assert p.num_modules >= 1
-            assert p.moves >= 0
+            assert p.applied >= 0
             assert p.wall_seconds >= 0
             assert np.isfinite(p.codelength)
         # the terminating pass of each level makes zero moves
-        assert r.telemetry.passes[-1].moves == 0
+        assert r.telemetry.passes[-1].applied == 0
 
     def test_kernel_wall_times_recorded(self, graph):
         r = run_infomap(graph, backend="softhash")
@@ -68,6 +70,43 @@ class TestTelemetryPresence:
         json.dumps(doc)  # must not raise
         assert doc["engine"] == "vectorized"
         assert len(doc["passes"]) == r.telemetry.num_passes
+
+
+class TestPassRecord:
+    """``telemetry.passes`` is each engine's one record of its passes."""
+
+    def test_every_engine_records_the_move_counts(self, graph):
+        results = {name: r for name, (r, _) in
+                   _all_engine_telemetries(graph).items()}
+        results["parallel"] = run_infomap_parallel(graph, workers=2)
+        for engine, r in results.items():
+            level_vertices = {lv.level: lv.vertices
+                              for lv in r.telemetry.levels}
+            for p in r.telemetry.passes:
+                assert p.vertices == level_vertices[p.level], engine
+                assert 0 < p.active_vertices <= p.vertices, engine
+                assert p.rounds == 1, engine
+                assert p.held_back >= 0, engine
+                assert p.held_back + p.applied <= p.proposed, engine
+                assert p.seconds >= 0, engine
+
+    def test_sequential_applies_every_proposal(self, graph):
+        with scoped_registry() as reg:
+            r = run_infomap(graph, backend="softhash")
+        passes = r.telemetry.passes
+        assert all(p.proposed == p.applied for p in passes)
+        assert all(p.held_back == 0 for p in passes)
+        moves = sum(p.applied for p in passes)
+        assert moves == r.telemetry.total_moves > 0
+        assert reg.get_value("infomap.moves", engine="sequential") == moves
+
+    def test_vectorized_reports_held_back_moves(self):
+        with stream_rmat(scale=10, edge_factor=8, seed=3) as sg:
+            r = run_infomap_vectorized(sg.graph)
+        passes = r.telemetry.passes
+        assert sum(p.held_back for p in passes) > 0
+        for p in passes:
+            assert p.held_back <= p.proposed - p.applied
 
 
 class TestConvergenceSemantics:

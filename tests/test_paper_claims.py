@@ -100,6 +100,6 @@ class TestIterationDecay:
         """Tables III/IV shape: successive FindBestCommunity iterations get
         cheaper (worklist shrinks)."""
         _, rb, _ = pair
-        level0 = [it for it in rb.iterations if it.level == 0]
+        level0 = [p for p in rb.telemetry.passes if p.level == 0]
         assert len(level0) >= 3
         assert level0[-1].seconds < level0[0].seconds

@@ -676,6 +676,27 @@ def test_delta_remove_absent_edge_is_structured_failure():
     assert "absent edge" in r.error
 
 
+def test_failure_before_acquiring_a_pool_keeps_it_warm():
+    """A parallel delta job that ``Delta.apply`` refuses fails before it
+    borrows the warm pool, so the pool stays warm for the next job."""
+    from repro.service.delta import Delta
+
+    g = _graph()
+    absent = Delta.from_json([["remove", 0, 0]])
+    with JobService(cache_entries=0) as svc:
+        first, failed, after = svc.run_batch([
+            JobSpec(graph=g, workers=2, seed=0),
+            JobSpec(graph=g, workers=2, seed=0, delta=absent),
+            JobSpec(graph=g, workers=2, seed=1),
+        ])
+        pools = svc.stats()["pools"]
+    assert [first.status, failed.status, after.status] == [
+        STATUS_COMPLETED, STATUS_FAILED, STATUS_COMPLETED]
+    assert "absent edge" in failed.error
+    assert after.warm_pool is True
+    assert pools["cold_spawns"] == 1
+
+
 def test_delta_job_ledger_row_carries_refresh_telemetry():
     """Delta service rows add delta/base_key config keys and the
     touched/full_rerun telemetry; plain rows keep their historical

@@ -78,11 +78,13 @@ class TestRecordTrace:
         """One phase per vertex visit of the sequential engine's passes
         (two on a directed graph: out- and in-flow), in its order."""
         g, _ = planted_partition(4, 25, 0.4, 0.02, seed=1)
-        visits = sum(it.nodes for it in run_infomap(g).iterations)
+        visits = sum(p.active_vertices
+                     for p in run_infomap(g).telemetry.passes)
         assert record_trace(g).num_phases == visits
         d = from_edge_array(*g.edge_array(), num_vertices=g.num_vertices,
                             directed=True)
-        visits = sum(it.nodes for it in run_infomap(d).iterations)
+        visits = sum(p.active_vertices
+                     for p in run_infomap(d).telemetry.passes)
         assert record_trace(d).num_phases == 2 * visits
 
 

@@ -96,7 +96,7 @@ class TestOneLevel:
         r = run_infomap_vectorized(g, max_levels=1)
         assert r.levels == 1
         assert r.num_modules == 3
-        assert r.rounds >= 1
+        assert r.telemetry.num_passes >= 1
 
     def test_monotone_improvement(self):
         g, _ = ring_of_cliques(5, 4)
